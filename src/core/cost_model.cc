@@ -201,9 +201,13 @@ double CostModel::A2ASecondsHierarchical(const RoutedAssignment& routed,
 }
 
 double CostModel::SyncSeconds(const Placement& placement, int expert) const {
-  const std::vector<GpuId> group = placement.HostGpus(expert);
-  if (group.size() < 2) return 0.0;
-  return profile_->AllReduceSeconds(shape_.grad_bytes, group);
+  return SyncSeconds(
+      profile_->SignatureOfReplicas(placement.Replicas(expert)));
+}
+
+double CostModel::SyncSeconds(const GroupSignature& sig) const {
+  if (sig.num_gpus < 2) return 0.0;
+  return profile_->AllReduceSecondsForSignature(shape_.grad_bytes, sig);
 }
 
 LayerCostEstimate CostModel::EstimateLayer(const RoutedAssignment& routed,

@@ -134,8 +134,15 @@ class CostModel {
   /// term, in that canonical order. O(nodes) float terms instead of O(G).
   double A2ASeconds(const RoutedAssignment& routed, GpuId dst) const;
 
-  /// Eq. 9 for one expert under `placement`.
+  /// Eq. 9 for one expert under `placement`. Allocation-free: the term
+  /// depends only on the replica group's signature, read straight off
+  /// Placement::Replicas.
   double SyncSeconds(const Placement& placement, int expert) const;
+
+  /// Eq. 9 for any replica group of signature `sig` (0 for a group of
+  /// fewer than two GPUs) — what SyncSeconds(placement, e) returns, bitwise,
+  /// for every expert whose replica group has that signature.
+  double SyncSeconds(const GroupSignature& sig) const;
 
   /// Eq. 5 evaluated on an explicit routing. `include_sync` = false drops
   /// the Eq. 9 replica-sync term — the serving objective, where no

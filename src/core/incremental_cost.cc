@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace flexmoe {
 
@@ -31,10 +32,40 @@ int PowerOfTwoAtLeast(int n) {
 LayerCostState::LayerCostState(const CostModel* cost_model, bool include_sync)
     : cost_model_(cost_model), include_sync_(include_sync) {
   FLEXMOE_CHECK(cost_model != nullptr);
+  // Full-size record buffers up front: they never reallocate afterwards
+  // (the cap stops every record at kMaxRetractCells), so recording leaves
+  // no trail of outgrown buffers in the heap.
+  retract_pool_.resize(kRetractSlots);
+  for (RetractRecord& r : retract_pool_) r.cells.reserve(kMaxRetractCells);
+  retract_scratch_.reserve(kMaxRetractCells);
 }
 
 void LayerCostState::Reset(const Assignment& assignment,
                            const Placement& placement) {
+  BeginReset(assignment, placement);
+  FlexibleRouter::RouteInto(assignment, placement, &routed_);
+  FinishReset();
+}
+
+void LayerCostState::Reset(const Assignment& assignment,
+                           const Placement& placement,
+                           RoutedAssignment* routed) {
+  FLEXMOE_CHECK(routed != nullptr && routed->node_of.empty());
+  FLEXMOE_CHECK(routed->num_experts == assignment.num_experts());
+  FLEXMOE_CHECK(routed->num_gpus == assignment.num_gpus());
+  routed_.num_experts = routed->num_experts;
+  routed_.num_gpus = routed->num_gpus;
+  std::swap(routed_.expert_gpu_tokens, routed->expert_gpu_tokens);
+  std::swap(routed_.dispatch_to, routed->dispatch_to);
+  // Enabling aggregation after routing rebuilds the per-node sums from the
+  // dispatch matrix — integer folds, equal to what routing with
+  // aggregation on would have accumulated.
+  BeginReset(assignment, placement);
+  FinishReset();
+}
+
+void LayerCostState::BeginReset(const Assignment& assignment,
+                                const Placement& placement) {
   FLEXMOE_CHECK(assignment.num_experts() == placement.num_experts());
   FLEXMOE_CHECK(assignment.num_gpus() == placement.num_gpus());
   assignment_ = &assignment;
@@ -43,19 +74,20 @@ void LayerCostState::Reset(const Assignment& assignment,
   } else {
     placement_.emplace(placement);
   }
-  const int num_experts = assignment.num_experts();
-  const int num_gpus = assignment.num_gpus();
-  const Topology& topo = cost_model_->profile().topology();
-
   // With per-node A2A aggregation active, routing maintains the per-node
   // dispatch sums the hierarchical Eq. 8 path consumes, so RefreshGpu's
   // A2A recompute is O(nodes) float terms instead of O(G).
   if (cost_model_->profile().hierarchical_a2a()) {
-    routed_.EnableNodeAggregation(topo);
+    routed_.EnableNodeAggregation(cost_model_->profile().topology());
   } else {
     routed_.DisableNodeAggregation();
   }
-  FlexibleRouter::RouteInto(assignment, placement, &routed_);
+}
+
+void LayerCostState::FinishReset() {
+  const int num_experts = assignment_->num_experts();
+  const int num_gpus = assignment_->num_gpus();
+  const Topology& topo = cost_model_->profile().topology();
 
   sync_of_expert_.assign(static_cast<size_t>(num_experts), 0.0);
   caps_.assign(static_cast<size_t>(num_experts), 0.0);
@@ -88,8 +120,56 @@ void LayerCostState::Reset(const Assignment& assignment,
   for (GpuId g = 0; g < num_gpus; ++g) RefreshGpu(g);
 
   depth_ = 0;  // pooled undo_records_ keep their snapshot capacities
+  stamp_.assign(static_cast<size_t>(num_experts), 0);
+  next_stamp_ = 1;
+  for (RetractRecord& r : retract_pool_) {
+    r.expert = -1;
+    r.stamp = -1;
+    r.last_use = 0;
+  }
+  retract_slot_.assign(static_cast<size_t>(num_experts), -1);
+  retract_clock_ = 0;
   affected_.clear();
   affected_mark_.assign(static_cast<size_t>(num_gpus), 0);
+}
+
+void LayerCostState::Retract(int expert) {
+  const size_t i = static_cast<size_t>(expert);
+  int slot = retract_slot_[i];
+  if (slot >= 0) {
+    RetractRecord& r = retract_pool_[static_cast<size_t>(slot)];
+    if (r.stamp == stamp_[i]) {
+      r.last_use = ++retract_clock_;
+      FlexibleRouter::RetractCells(expert, r.cells, &routed_);
+      return;
+    }
+  }
+  if (!FlexibleRouter::RetractExpertRecording(*assignment_, *placement_,
+                                              expert, &routed_,
+                                              &retract_scratch_,
+                                              kMaxRetractCells)) {
+    return;
+  }
+  if (slot < 0) {
+    // Evict the least recently used record.
+    slot = 0;
+    for (int k = 1; k < kRetractSlots; ++k) {
+      if (retract_pool_[static_cast<size_t>(k)].last_use <
+          retract_pool_[static_cast<size_t>(slot)].last_use) {
+        slot = k;
+      }
+    }
+    RetractRecord& victim = retract_pool_[static_cast<size_t>(slot)];
+    if (victim.expert >= 0) {
+      retract_slot_[static_cast<size_t>(victim.expert)] = -1;
+    }
+    victim.expert = expert;
+    retract_slot_[i] = slot;
+  }
+  RetractRecord& r = retract_pool_[static_cast<size_t>(slot)];
+  std::swap(r.cells, retract_scratch_);
+  r.stamp = stamp_[i];
+  r.last_use = ++retract_clock_;
 }
 
 void LayerCostState::RefreshExpert(int expert) {
@@ -327,12 +407,16 @@ bool LayerCostState::Apply(const ModOp& op) {
 
   // Retract the touched experts' routing under the current placement
   // (exact integer cancellation), mutate, re-add under the new placement.
-  FlexibleRouter::AccumulateExpert(*assignment_, p, e1, -1, &routed_);
-  if (e2 >= 0) {
-    FlexibleRouter::AccumulateExpert(*assignment_, p, e2, -1, &routed_);
-  }
+  Retract(e1);
+  if (e2 >= 0) Retract(e2);
 
   MutatePlacement(op);
+  rec.stamp1 = stamp_[static_cast<size_t>(e1)];
+  stamp_[static_cast<size_t>(e1)] = next_stamp_++;
+  if (e2 >= 0) {
+    rec.stamp2 = stamp_[static_cast<size_t>(e2)];
+    stamp_[static_cast<size_t>(e2)] = next_stamp_++;
+  }
 
   FlexibleRouter::AccumulateExpert(*assignment_, p, e1, +1, &routed_);
   if (e2 >= 0) {
@@ -380,6 +464,8 @@ void LayerCostState::Undo() {
                          rec.op.partner_expert != rec.op.expert
                      ? rec.op.partner_expert
                      : -1;
+  stamp_[static_cast<size_t>(e1)] = rec.stamp1;
+  if (e2 >= 0) stamp_[static_cast<size_t>(e2)] = rec.stamp2;
   RefreshExpert(e1);
   if (e2 >= 0) RefreshExpert(e2);
   for (int i = 0; i < rec.num_dispatch_rows; ++i) {

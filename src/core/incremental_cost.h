@@ -14,6 +14,13 @@
 //  * Routing deltas are integer: FlexibleRouter::AccumulateExpert(+1/-1)
 //    cancels exactly, so the cached token matrices equal a from-scratch
 //    Route of the current placement bitwise at every depth.
+//  * A retraction may replay recorded cells instead of re-routing: an
+//    expert on the router's general multi-destination path records the
+//    cells it retracts, and a later retraction under the same placement
+//    stamp (Apply assigns a fresh stamp, Undo restores the old one, so
+//    equal stamps mean an identical placement row) subtracts exactly those
+//    integers — the same cancellation without running Alg. 3 again.
+//    Records live in a few LRU slots of capped size (DESIGN.md §10.1).
 //  * Per-GPU float sums are never delta-adjusted (FP addition is order-
 //    dependent and not reversible). An affected GPU's compute/a2a/sync
 //    terms are recomputed from scratch in the same canonical ascending-
@@ -60,12 +67,25 @@ double Score8Norm(const std::vector<double>& per_gpu_seconds);
 /// (the scratch-ownership rules of DESIGN.md "Performance architecture").
 class LayerCostState {
  public:
+  /// Cap on one recorded retraction, in routed cells. An expert whose
+  /// retraction would record more re-routes instead of replaying.
+  static constexpr size_t kMaxRetractCells = 1024;
+
   /// `include_sync` = false drops the Eq. 9 replica-sync term — the
   /// serving objective (PolicyMakerOptions::serve_objective).
   LayerCostState(const CostModel* cost_model, bool include_sync);
 
   /// Full canonical rebuild against a new workload/placement. O(E*G + G^2).
   void Reset(const Assignment& assignment, const Placement& placement);
+
+  /// Reset that takes over `*routed` — FlexibleRouter's routing of exactly
+  /// (assignment, placement), built without node aggregation — instead of
+  /// routing again: the routed matrices are swapped in, then node
+  /// aggregation is enabled or disabled as Reset does. `*routed` is left
+  /// holding this state's previous buffers, fit only as RouteInto scratch.
+  /// The Scheduler uses it to route once per trigger (DESIGN.md §10.1).
+  void Reset(const Assignment& assignment, const Placement& placement,
+             RoutedAssignment* routed);
   bool initialized() const { return assignment_ != nullptr; }
   bool include_sync() const { return include_sync_; }
 
@@ -162,6 +182,9 @@ class LayerCostState {
   /// functions of the integers and get recomputed on restore.
   struct UndoRecord {
     ModOp op;
+    /// The touched experts' placement stamps before the op.
+    int64_t stamp1 = 0;
+    int64_t stamp2 = 0;
     int num_expert_rows = 0;
     int num_dispatch_rows = 0;
     int num_node_rows = 0;
@@ -169,6 +192,13 @@ class LayerCostState {
     std::vector<RowSnapshot> dispatch_rows;
     std::vector<RowSnapshot> node_rows;
   };
+
+  /// Reset's shared entry: binds the workload, copies the placement and
+  /// sets the routing's node aggregation to the profile's A2A mode.
+  void BeginReset(const Assignment& assignment, const Placement& placement);
+
+  /// Reset's shared tail: rebuilds every cache from the routed matrices.
+  void FinishReset();
 
   /// The feasibility prechecks of primitives::ApplyOp, side-effect free.
   bool CheckFeasible(const ModOp& op) const;
@@ -194,6 +224,12 @@ class LayerCostState {
   /// `rows`, bumping `*n`. Reuses slot capacity across Apply/Undo cycles.
   static void SaveRow(std::vector<RowSnapshot>* rows, int* n, int key,
                       const int64_t* src, int len);
+
+  /// Removes `expert`'s routing under the current placement: replays the
+  /// recorded cells when they were taken under the expert's current
+  /// placement stamp, otherwise re-routes it with sign -1 (recording the
+  /// cells when the router takes its general multi-destination path).
+  void Retract(int expert);
 
   /// Refreshes caps_ / sync_of_expert_ for one touched expert.
   void RefreshExpert(int expert);
@@ -243,6 +279,35 @@ class LayerCostState {
   /// O(log G); the root IS the Eq. 5 max (max is truly associative).
   std::vector<double> tourney_;
   int tourney_cap_ = 0;
+
+  /// Per-expert placement stamps: Apply gives each touched expert a fresh
+  /// value and Undo restores the previous one, so equal stamps mean an
+  /// identical placement row (the assignment is fixed between Resets).
+  std::vector<int64_t> stamp_;
+  int64_t next_stamp_ = 1;
+  /// One recorded retraction: `expert`'s routing cells under placement
+  /// stamp `stamp` (-1: none), and its last use for LRU eviction.
+  struct RetractRecord {
+    int expert = -1;
+    int64_t stamp = -1;
+    int64_t last_use = 0;
+    std::vector<RoutedCell> cells;
+  };
+  /// Record slots. A plan round retracts the same few hot and cold
+  /// candidates over and over; on the perfbench workloads eight LRU slots
+  /// replay as often as sixteen (DESIGN.md §10.1). Storage is bounded by
+  /// kRetractSlots + 1 buffers of at most kMaxRetractCells cells —
+  /// independent of E and G — and only experts on the router's general
+  /// multi-destination path record at all (single-destination experts, the
+  /// large-EP norm, keep the cheap O(G) re-route, as do experts whose
+  /// record would exceed the cap).
+  static constexpr int kRetractSlots = 8;
+  std::vector<RetractRecord> retract_pool_;
+  /// retract_slot_[e]: e's slot in retract_pool_, -1 if none.
+  std::vector<int> retract_slot_;
+  /// Buffer a fresh recording lands in before it is swapped into a slot.
+  std::vector<RoutedCell> retract_scratch_;
+  int64_t retract_clock_ = 0;
 
   /// Undo stack with pooled snapshot storage: `depth_` records are live;
   /// slots beyond keep their row capacities for reuse.

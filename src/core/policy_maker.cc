@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "core/balance.h"
@@ -250,14 +252,6 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
           MakeExpand(best_hot, copy_src, best_dst)};
 }
 
-double PolicyMaker::TotalSyncSeconds(const Placement& placement) const {
-  double total = 0.0;
-  for (int e = 0; e < placement.num_experts(); ++e) {
-    total += cost_model_->SyncSeconds(placement, e);
-  }
-  return total;
-}
-
 std::vector<ModOp> PolicyMaker::PlanEvacuation(const Placement& placement,
                                                int max_moves) const {
   std::vector<ModOp> plan;
@@ -328,22 +322,27 @@ std::vector<ModOp> PolicyMaker::PlanEvacuation(const Placement& placement,
 std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
                                                int max_moves) const {
   std::vector<ModOp> plan;
-  Placement current = placement;
-  const Topology& topo = cost_model_->profile().topology();
+  const HardwareProfile& profile = cost_model_->profile();
+  const Topology& topo = profile.topology();
+  const int num_experts = placement.num_experts();
+  // Copy-on-first-move: most triggers find nothing worth consolidating,
+  // and those never pay the O(E x G) placement copy.
+  std::optional<Placement> owned;
+  const Placement* current = &placement;
 
   // Per-expert Eq. 9 cache: a candidate Migrate touches exactly two
-  // experts, so its trial total substitutes two recomputed entries instead
-  // of re-deriving all E AllReduce groups per candidate. The total is
-  // always re-summed left-to-right over the full expert range, so every
-  // value equals a from-scratch TotalSyncSeconds of the same placement
-  // bitwise.
-  std::vector<double> sync(static_cast<size_t>(current.num_experts()), 0.0);
-  for (int e = 0; e < current.num_experts(); ++e) {
-    sync[static_cast<size_t>(e)] = cost_model_->SyncSeconds(current, e);
+  // experts, so its total substitutes two recomputed entries instead of
+  // re-deriving all E AllReduce groups per candidate. The total is always
+  // re-summed left-to-right over the full expert range, so every value
+  // equals a from-scratch sum of CostModel::SyncSeconds over the same
+  // placement bitwise.
+  std::vector<double> sync(static_cast<size_t>(num_experts), 0.0);
+  for (int e = 0; e < num_experts; ++e) {
+    sync[static_cast<size_t>(e)] = cost_model_->SyncSeconds(*current, e);
   }
   const auto total_substituting = [&](int e1, double s1, int e2, double s2) {
     double total = 0.0;
-    for (int e = 0; e < current.num_experts(); ++e) {
+    for (int e = 0; e < num_experts; ++e) {
       if (e == e1) {
         total += s1;
       } else if (e == e2) {
@@ -354,6 +353,9 @@ std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
     }
     return total;
   };
+  // Per-node vExpert counts of the expert under inspection (zeroed again
+  // after each use).
+  std::vector<int> per_node(static_cast<size_t>(topo.num_nodes()), 0);
 
   for (int move = 0; move < max_moves; ++move) {
     const double base = total_substituting(-1, 0.0, -1, 0.0);
@@ -361,45 +363,66 @@ std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
     ModOp best_op;
     bool found = false;
 
-    for (int e = 0; e < current.num_experts(); ++e) {
-      const std::vector<GpuId> hosts = current.HostGpus(e);
-      if (hosts.size() < 2 || topo.NodesSpanned(hosts) < 2) continue;
+    for (int e = 0; e < num_experts; ++e) {
+      const std::map<GpuId, int>& replicas = current->Replicas(e);
+      if (replicas.size() < 2) continue;
 
-      // Majority node: the node carrying most of e's vExperts.
-      std::map<NodeId, int> per_node;
-      for (const auto& [gpu, count] : current.Replicas(e)) {
-        per_node[topo.NodeOf(gpu)] += count;
+      // Majority node: the node carrying most of e's vExperts, the first
+      // maximum in ascending node order (hosts ascend, NodeOf is monotone).
+      int spanned = 0;
+      for (const auto& [gpu, count] : replicas) {
+        int& c = per_node[static_cast<size_t>(topo.NodeOf(gpu))];
+        if (c == 0) ++spanned;
+        c += count;
       }
-      NodeId major = per_node.begin()->first;
-      for (const auto& [node, count] : per_node) {
-        if (count > per_node[major]) major = node;
+      NodeId major = -1;
+      int major_count = 0;
+      for (const auto& [gpu, count] : replicas) {
+        const NodeId node = topo.NodeOf(gpu);
+        if (per_node[static_cast<size_t>(node)] > major_count) {
+          major = node;
+          major_count = per_node[static_cast<size_t>(node)];
+        }
       }
+      for (const auto& [gpu, count] : replicas) {
+        per_node[static_cast<size_t>(topo.NodeOf(gpu))] = 0;
+      }
+      if (spanned < 2) continue;
 
-      for (GpuId lonely : hosts) {
+      const GpuId first_on_major = major * topo.gpus_per_node();
+      for (const auto& [lonely, lonely_count] : replicas) {
         if (topo.NodeOf(lonely) == major) continue;
         // Try to pull e's off-node replica onto the majority node by
         // swapping with a vExpert already there.
-        for (GpuId target : topo.GpusOnNode(major)) {
+        for (GpuId target = first_on_major;
+             target < first_on_major + topo.gpus_per_node(); ++target) {
           if (!Expandable(target)) continue;
           // Swapping onto a GPU that already hosts e just packs — still
           // useful, because it dissolves `lonely` from the replica group.
-          for (int partner : current.ExpertsOn(target)) {
-            if (partner == e) continue;
-            // Mutate-undo instead of copying the placement per candidate
-            // (an O(E x G) copy at large EP): apply, score the two touched
-            // experts, revert with the inverse swap.
-            const ModOp op = MakeMigrate(e, lonely, partner, target);
-            if (!ApplyOp(op, &current).ok()) continue;
+          // e's post-swap group does not depend on the partner.
+          const double e_after = cost_model_->SyncSeconds(
+              profile.SignatureOfReplicas(replicas, lonely, target));
+          for (int partner = 0; partner < num_experts; ++partner) {
+            if (partner == e || current->VExpertsOn(partner, target) == 0) {
+              continue;
+            }
+            // The one Migrate precondition a candidate here can miss: the
+            // partner must keep >= 1 vExpert after giving one up.
+            if (current->VExperts(partner) < 2) continue;
+            const double partner_after = cost_model_->SyncSeconds(
+                profile.SignatureOfReplicas(current->Replicas(partner),
+                                            target, lonely));
+            // Unchanged terms re-sum to exactly `base`: a zero gain, which
+            // never beats min_migration_gain_sec >= 0.
+            if (e_after == sync[static_cast<size_t>(e)] &&
+                partner_after == sync[static_cast<size_t>(partner)]) {
+              continue;
+            }
             const double gain =
-                base - total_substituting(
-                           e, cost_model_->SyncSeconds(current, e), partner,
-                           cost_model_->SyncSeconds(current, partner));
-            FLEXMOE_CHECK(
-                ApplyOp(MakeMigrate(e, target, partner, lonely), &current)
-                    .ok());
+                base - total_substituting(e, e_after, partner, partner_after);
             if (gain > best_gain) {
               best_gain = gain;
-              best_op = op;
+              best_op = MakeMigrate(e, lonely, partner, target);
               found = true;
             }
           }
@@ -407,11 +430,15 @@ std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
       }
     }
     if (!found) break;
-    FLEXMOE_CHECK_OK(ApplyOp(best_op, &current));
+    if (!owned.has_value()) {
+      owned.emplace(placement);
+      current = &*owned;
+    }
+    FLEXMOE_CHECK_OK(ApplyOp(best_op, &*owned));
     sync[static_cast<size_t>(best_op.expert)] =
-        cost_model_->SyncSeconds(current, best_op.expert);
+        cost_model_->SyncSeconds(*current, best_op.expert);
     sync[static_cast<size_t>(best_op.partner_expert)] =
-        cost_model_->SyncSeconds(current, best_op.partner_expert);
+        cost_model_->SyncSeconds(*current, best_op.partner_expert);
     plan.push_back(best_op);
   }
   return plan;

@@ -117,8 +117,11 @@ class PolicyMaker {
                                  PlanSearchStats* stats = nullptr) const;
 
   /// Background migration planning (Algorithm 1 line 9): up to `max_moves`
-  /// vExpert swaps that lower the total estimated synchronization cost by
-  /// consolidating replica groups onto fewer nodes.
+  /// vExpert swaps that lower the total estimated Eq. 9 synchronization
+  /// cost (summed over all experts) by consolidating replica groups onto
+  /// fewer nodes. Candidates are scored from the two swapped experts'
+  /// post-swap group signatures — no trial op is applied — and the
+  /// placement is copied only once a move is accepted.
   std::vector<ModOp> PlanMigrations(const Placement& placement,
                                     int max_moves) const;
 
@@ -130,9 +133,6 @@ class PolicyMaker {
   /// nothing is degraded.
   std::vector<ModOp> PlanEvacuation(const Placement& placement,
                                     int max_moves) const;
-
-  /// Total Eq. 9 sync seconds across all experts (migration objective).
-  double TotalSyncSeconds(const Placement& placement) const;
 
   const CostModel* cost_model() const { return cost_model_; }
   const PolicyMakerOptions& options() const { return options_; }

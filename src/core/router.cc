@@ -110,12 +110,17 @@ RouteScratch& Scratch() {
 /// Routes one expert (Alg. 3 applied to expert `e` alone) and accumulates
 /// its contribution into `out` with the given sign. The token placement
 /// (`take` values) is a pure function of the expert's assignment row and
-/// placement row, so +1 followed by -1 cancels exactly.
-void RouteExpert(const Assignment& assignment, const Placement& placement,
-                 int e, int sign, RoutedAssignment* out) {
+/// placement row, so +1 followed by -1 cancels exactly. With `record` set,
+/// an expert routed by the general (three-or-more-destination) path also
+/// leaves every unsigned cell it wrote there, and the call returns true —
+/// unless the record would outgrow `max_cells` (then it is left empty).
+bool RouteExpert(const Assignment& assignment, const Placement& placement,
+                 int e, int sign, RoutedAssignment* out,
+                 std::vector<RoutedCell>* record = nullptr,
+                 size_t max_cells = 0) {
   const int num_gpus = assignment.num_gpus();
   const int64_t total = assignment.ExpertTotal(e);
-  if (total == 0) return;
+  if (total == 0) return false;
   const int n_e = placement.VExperts(e);
   FLEXMOE_CHECK_MSG(n_e >= 1, "expert with zero vExperts");
   // cap_e = ceil(I_e / n_e): even partitioning across vExperts.
@@ -160,7 +165,7 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
     // O(G + spill_sources * hosts) per expert at large EP.
     if (s.avail[static_cast<size_t>(g)] > 0) s.dsts.push_back(g);
   }
-  if (spill_total == 0) return;
+  if (spill_total == 0) return false;
 
   // Proportional spill (Alg. 3 lines 8-10) with largest-remainder
   // rounding, then a greedy pass for residual integer slack. The total
@@ -229,7 +234,7 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
       total_avail -= sp;
     }
     s.avail[static_cast<size_t>(dst)] = avail_dst;
-    return;
+    return false;
   }
 
   // Two-destination fast path: the Policy Maker's expand candidates give
@@ -345,7 +350,28 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
     }
     s.avail[static_cast<size_t>(d1)] = av1;
     s.avail[static_cast<size_t>(d2)] = av2;
-    return;
+    return false;
+  }
+
+  // Appends one cell to the record, abandoning it (for good) once it would
+  // exceed max_cells.
+  const auto record_cell = [&](GpuId dst, GpuId src, int64_t tokens) {
+    if (record == nullptr) return;
+    if (record->size() < max_cells) {
+      record->push_back({dst, src, tokens});
+    } else {
+      record->clear();
+      record = nullptr;
+    }
+  };
+  if (record != nullptr) {
+    // The locality-first claims written above (quota - avail per host).
+    record->clear();
+    for (GpuId g = 0; g < num_gpus; ++g) {
+      const int64_t local =
+          s.quota[static_cast<size_t>(g)] - s.avail[static_cast<size_t>(g)];
+      if (local != 0) record_cell(g, g, local);
+    }
   }
 
   for (GpuId src = 0; src < num_gpus; ++src) {
@@ -419,10 +445,12 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
       expert_row[dst] += sign * t;
       out->dispatch_to(dst, src) += sign * t;
       if (aggregate) out->node_dispatch_to(dst, src_node) += sign * t;
+      record_cell(dst, src, t);
       s.avail[static_cast<size_t>(dst)] -= t;
     }
     total_avail -= sp;
   }
+  return record != nullptr;
 }
 
 }  // namespace
@@ -466,6 +494,36 @@ void FlexibleRouter::AccumulateExpert(const Assignment& assignment,
   FLEXMOE_CHECK(expert >= 0 && expert < assignment.num_experts());
   FLEXMOE_CHECK(sign == 1 || sign == -1);
   RouteExpert(assignment, placement, expert, sign, out);
+}
+
+bool FlexibleRouter::RetractExpertRecording(const Assignment& assignment,
+                                            const Placement& placement,
+                                            int expert, RoutedAssignment* out,
+                                            std::vector<RoutedCell>* cells,
+                                            size_t max_cells) {
+  FLEXMOE_CHECK(out != nullptr && cells != nullptr);
+  FLEXMOE_CHECK(assignment.num_experts() == placement.num_experts());
+  FLEXMOE_CHECK(assignment.num_gpus() == placement.num_gpus());
+  FLEXMOE_CHECK(expert >= 0 && expert < assignment.num_experts());
+  return RouteExpert(assignment, placement, expert, -1, out, cells,
+                     max_cells);
+}
+
+void FlexibleRouter::RetractCells(int expert,
+                                  const std::vector<RoutedCell>& cells,
+                                  RoutedAssignment* out) {
+  FLEXMOE_CHECK(out != nullptr);
+  FLEXMOE_CHECK(expert >= 0 && expert < out->num_experts);
+  int64_t* expert_row = out->expert_gpu_tokens.row(expert);
+  const bool aggregate = !out->node_of.empty();
+  for (const RoutedCell& c : cells) {
+    expert_row[c.dst] -= c.tokens;
+    out->dispatch_to(c.dst, c.src) -= c.tokens;
+    if (aggregate) {
+      out->node_dispatch_to(c.dst, out->node_of[static_cast<size_t>(c.src)]) -=
+          c.tokens;
+    }
+  }
 }
 
 }  // namespace flexmoe

@@ -76,6 +76,14 @@ struct RoutedAssignment {
   int64_t CrossGpuTokens() const;
 };
 
+/// \brief One cell of an expert's routing: `tokens` tokens from source GPU
+/// `src` computed on GPU `dst` (src == dst for the locality-first claim).
+struct RoutedCell {
+  GpuId dst = -1;
+  GpuId src = -1;
+  int64_t tokens = 0;
+};
+
 /// \brief Stateless implementation of Algorithm 3.
 class FlexibleRouter {
  public:
@@ -102,6 +110,26 @@ class FlexibleRouter {
   static void AccumulateExpert(const Assignment& assignment,
                                const Placement& placement, int expert,
                                int sign, RoutedAssignment* out);
+
+  /// AccumulateExpert with sign -1 that also records the retracted cells
+  /// into `*cells` (reusing its capacity) when the expert spills over
+  /// three or more destinations — Alg. 3's general path, the one whose
+  /// per-source proportional split and remainder sort make a re-route
+  /// expensive. Returns whether it recorded; an expert routed by the one-
+  /// or two-destination fast paths (or without spill), or whose record
+  /// would exceed `max_cells` cells, records nothing.
+  static bool RetractExpertRecording(const Assignment& assignment,
+                                     const Placement& placement, int expert,
+                                     RoutedAssignment* out,
+                                     std::vector<RoutedCell>* cells,
+                                     size_t max_cells);
+
+  /// Subtracts a RetractExpertRecording record of `expert` from `out`: the
+  /// exact (integer) retraction of the expert's routing, without running
+  /// Alg. 3, valid while the expert's assignment and placement rows are
+  /// those the record was taken under.
+  static void RetractCells(int expert, const std::vector<RoutedCell>& cells,
+                           RoutedAssignment* out);
 };
 
 }  // namespace flexmoe

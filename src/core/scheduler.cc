@@ -140,25 +140,37 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
     }
   }
 
+  // One route per trigger: the plan state takes over the routing MetricOf
+  // computed for (assignment, *target) — unless evacuation ops have changed
+  // *target since, which makes that routing stale.
+  const bool metric_routing_current = decision.ops.empty();
+  bool state_ready = false;
+  const auto ensure_plan_state = [&] {
+    if (state_ready) return;
+    state_ready = true;
+    if (metric_routing_current) {
+      plan_state_.Reset(assignment, *target, &metric_scratch_);
+    } else {
+      plan_state_.Reset(assignment, *target);
+    }
+  };
+
   // Algorithm 1 lines 3-8: iterate Expand/Shrink planning while the metric
   // stays above threshold and the Policy Maker keeps finding improvements.
   const double stop_threshold = options_.metric == TriggerMetric::kMaxRatio
                                     ? options_.threshold
                                     : options_.variance_threshold;
   double metric = decision.metric_before;
-  bool state_ready = false;
   for (int round = 0; round < options_.max_plan_iterations; ++round) {
     if (options_.policy == TriggerPolicy::kDynamic &&
         metric <= stop_threshold) {
       break;
     }
-    // One full O(E*G + G^2) rebuild per trigger (lazily, so a trigger that
-    // never reaches the plan loop pays nothing); every later round and
-    // candidate runs O(Δ) on the incremental state.
-    if (!state_ready) {
-      plan_state_.Reset(assignment, *target);
-      state_ready = true;
-    }
+    // One full O(E*G + G^2) rebuild per trigger, on the routing MetricOf
+    // already paid for (lazily, so a trigger that never reaches the plan
+    // loop pays nothing); every later round and candidate runs O(Δ) on the
+    // incremental state.
+    ensure_plan_state();
     PlanSearchStats stats;
     const std::vector<ModOp> plan =
         policy_maker_->PlanOnState(&plan_state_, &stats);
@@ -187,10 +199,7 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
   // never reached the loop (dynamic policy already under threshold) pays
   // the one Reset here — still once per trigger, never per step.
   if (options_.plan_chunk_depth) {
-    if (!state_ready) {
-      plan_state_.Reset(assignment, *target);
-      state_ready = true;
-    }
+    ensure_plan_state();
     decision.pipeline_chunks = plan_state_.BestChunkDepth(chunk_incumbent);
   }
 

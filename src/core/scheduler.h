@@ -128,7 +128,8 @@ class Scheduler {
   const ClusterHealth* health_ = nullptr;
   /// Scratch for MetricOf (allocation-free steady state) and the
   /// incremental planning state the plan loop amortizes its Reset over —
-  /// one Reset per trigger, O(Δ) per candidate afterwards.
+  /// one Reset per trigger, O(Δ) per candidate afterwards. A trigger's
+  /// Reset takes over MetricOf's routing instead of routing again.
   mutable RoutedAssignment metric_scratch_;
   mutable std::vector<int64_t> tokens_scratch_;
   mutable std::vector<double> loads_scratch_;

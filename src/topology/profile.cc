@@ -65,28 +65,61 @@ GroupSignature HardwareProfile::SignatureOf(
                         topo_->NodesSpanned(group)};
 }
 
-double HardwareProfile::RingAllReduceSeconds(
-    double bytes, const std::vector<GpuId>& group) const {
-  const size_t k = group.size();
+GroupSignature HardwareProfile::SignatureOfReplicas(
+    const std::map<GpuId, int>& replicas, GpuId from, GpuId to) const {
+  GroupSignature sig;
+  NodeId last = -1;
+  const auto visit = [&](GpuId g) {
+    const NodeId node = topo_->NodeOf(g);
+    if (node != last) ++sig.num_nodes;
+    last = node;
+    ++sig.num_gpus;
+  };
+  bool to_pending = to >= 0;
+  for (const auto& [gpu, count] : replicas) {
+    if (to_pending && to < gpu) {
+      visit(to);
+      to_pending = false;
+    }
+    if (gpu == to) to_pending = false;        // already a host, stays one
+    if (gpu == from && count == 1) continue;  // its only vExpert leaves
+    visit(gpu);
+  }
+  if (to_pending) visit(to);
+  return sig;
+}
+
+double HardwareProfile::RingAllReduceSeconds(double bytes,
+                                             const GroupSignature& sig) const {
+  const int k = sig.num_gpus;
   if (k < 2 || bytes <= 0) return 0.0;
   // Ring all-reduce: 2(k-1) phases, each moving bytes/k over the
-  // bottleneck link; latency paid once per phase.
-  const bool spans_nodes = topo_->NodesSpanned(group) > 1;
+  // bottleneck link; latency paid once per phase. The bottleneck link of
+  // any ring over the group is inter-node iff the group spans nodes.
+  const bool spans_nodes = sig.num_nodes > 1;
+  const TopologyOptions& o = topo_->options();
   const LinkClass link =
       spans_nodes ? LinkClass::kInterNode : LinkClass::kIntraNode;
-  const double bw = topo_->MinGroupBandwidth(group) * link_efficiency_.at(link);
-  const double lat = spans_nodes ? topo_->options().inter_node_latency_sec
-                                 : topo_->options().intra_node_latency_sec;
+  const double bw = (spans_nodes ? o.inter_node_bytes_per_sec
+                                 : o.intra_node_bytes_per_sec) *
+                    link_efficiency_.at(link);
+  const double lat =
+      spans_nodes ? o.inter_node_latency_sec : o.intra_node_latency_sec;
   const double phases = 2.0 * static_cast<double>(k - 1);
   return phases * (bytes / static_cast<double>(k) / bw + lat);
 }
 
 double HardwareProfile::AllReduceSeconds(
     double bytes, const std::vector<GpuId>& group) const {
-  if (group.size() < 2 || bytes <= 0) return 0.0;
-  const auto* fitted = FindAllReduceCalibration(SignatureOf(group));
+  return AllReduceSecondsForSignature(bytes, SignatureOf(group));
+}
+
+double HardwareProfile::AllReduceSecondsForSignature(
+    double bytes, const GroupSignature& sig) const {
+  if (sig.num_gpus < 2 || bytes <= 0) return 0.0;
+  const auto* fitted = FindAllReduceCalibration(sig);
   if (fitted != nullptr) return fitted->Seconds(bytes);
-  return RingAllReduceSeconds(bytes, group);
+  return RingAllReduceSeconds(bytes, sig);
 }
 
 double HardwareProfile::AllReduceBps(double bytes,

@@ -114,8 +114,17 @@ class HardwareProfile {
   // --- AllReduce (paper's BPS) ------------------------------------------
 
   /// Seconds to AllReduce `bytes` across `group` (ring algorithm unless a
-  /// calibrated entry exists for the group's signature).
+  /// calibrated entry exists for the group's signature). Delegates to
+  /// AllReduceSecondsForSignature: both the calibration lookup and the ring
+  /// formula depend on nothing but the group's signature.
   double AllReduceSeconds(double bytes, const std::vector<GpuId>& group) const;
+
+  /// AllReduceSeconds for any group of signature `sig` — the allocation-free
+  /// form the planner's Eq. 9 terms use (bitwise equal to AllReduceSeconds
+  /// on every group of that signature). A distinct name, not an overload:
+  /// a braced GPU list like {0, 1} would convert to either parameter type.
+  double AllReduceSecondsForSignature(double bytes,
+                                      const GroupSignature& sig) const;
 
   /// Bytes/second delivered by AllReduce on `group` at message size `bytes`
   /// — the paper's BPS(G').
@@ -144,13 +153,22 @@ class HardwareProfile {
 
   GroupSignature SignatureOf(const std::vector<GpuId>& group) const;
 
+  /// Signature of a replica group given as its replica map (host GPU ->
+  /// vExpert count, ascending GPU ids, as Placement::Replicas holds it).
+  /// With `from`/`to` set (both >= 0, from != to, `from` a host), the
+  /// signature after one vExpert moves from `from` to `to`: `from` leaves
+  /// the group if that was its only vExpert, `to` joins it if new. Hosts
+  /// ascend and NodeOf is monotone, so the node span is one plus the
+  /// number of node changes along the walk — no host vector, no node set.
+  GroupSignature SignatureOfReplicas(const std::map<GpuId, int>& replicas,
+                                     GpuId from = -1, GpuId to = -1) const;
+
  private:
   /// A GPU on `node` whose link to `dst` represents the node's tier
   /// (never dst itself, which would read the loopback class).
   GpuId NodeRepresentative(NodeId node, GpuId dst) const;
 
-  double RingAllReduceSeconds(double bytes,
-                              const std::vector<GpuId>& group) const;
+  double RingAllReduceSeconds(double bytes, const GroupSignature& sig) const;
 
   /// Rebuilds the flat pairwise caches from the topology and the current
   /// link efficiencies (called at construction and by SetLinkEfficiency).

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "collective/profiler.h"
 #include "core/cost_model.h"
@@ -90,6 +92,83 @@ TEST(CostModelTest, SyncSecondsEq9) {
       f.model.expert_grad_bytes(), {0, 4});
   EXPECT_NEAR(t, expected, 1e-12);
   EXPECT_GT(t, 0.0);
+}
+
+/// A random placement in which every slot is bound: each expert gets one
+/// vExpert, the remaining slots go to random experts, and the shuffled
+/// slot list fills the GPUs in order — replica groups of random size and
+/// node span, many of them single-GPU.
+Placement RandomPlacement(int experts, int gpus, int slots, Rng* rng) {
+  std::vector<int> slot_expert;
+  for (int e = 0; e < experts; ++e) slot_expert.push_back(e);
+  while (static_cast<int>(slot_expert.size()) < gpus * slots) {
+    slot_expert.push_back(static_cast<int>(rng->UniformInt(experts)));
+  }
+  rng->Shuffle(&slot_expert);
+  std::vector<std::map<GpuId, int>> replicas(static_cast<size_t>(experts));
+  for (size_t i = 0; i < slot_expert.size(); ++i) {
+    ++replicas[static_cast<size_t>(slot_expert[i])]
+              [static_cast<GpuId>(i) / slots];
+  }
+  PlacementOptions o;
+  o.num_experts = experts;
+  o.num_gpus = gpus;
+  o.slots_per_gpu = slots;
+  return *Placement::FromReplicaMap(o, replicas);
+}
+
+// Eq. 9 depends only on the replica group's signature, so the
+// allocation-free SyncSeconds (signature read off the replica map) must
+// equal the member-list AllReduceSeconds bitwise — on a single-node and a
+// multi-node topology, each with and without Profiler-fitted entries.
+TEST(CostModelTest, SyncSecondsEqualsGroupAllReduceBitwise) {
+  struct Layout {
+    int nodes;
+    int gpus_per_node;
+  };
+  for (const Layout layout : {Layout{1, 8}, Layout{4, 4}}) {
+    for (const bool calibrated : {false, true}) {
+      SCOPED_TRACE(testing::Message() << layout.nodes << "x"
+                                      << layout.gpus_per_node
+                                      << " calibrated=" << calibrated);
+      TopologyOptions topt;
+      topt.num_nodes = layout.nodes;
+      topt.gpus_per_node = layout.gpus_per_node;
+      const Topology topo = *Topology::Create(topt);
+      ModelConfig model = GptMoES();
+      model.num_experts = 12;
+      const HardwareProfile profile =
+          calibrated
+              ? *Profiler(&topo, GpuSpec{}, ProfilerOptions{})
+                     .Calibrate(model.expert_fwdbwd_flops_per_token())
+              : HardwareProfile(&topo, GpuSpec{});
+      const CostModel cost(&profile, ShapeFromModel(model));
+      const double grad_bytes = ShapeFromModel(model).grad_bytes;
+
+      Rng rng(calibrated ? 7 : 3);
+      int groups = 0, fitted = 0, multi_node = 0;
+      for (int trial = 0; trial < 100; ++trial) {
+        const Placement p =
+            RandomPlacement(model.num_experts, topo.num_gpus(), 3, &rng);
+        for (int e = 0; e < p.num_experts(); ++e) {
+          const std::vector<GpuId> hosts = p.HostGpus(e);
+          EXPECT_EQ(cost.SyncSeconds(p, e),
+                    profile.AllReduceSeconds(grad_bytes, hosts))
+              << "e" << e << " in\n" << p.ToString();
+          if (hosts.size() < 2) continue;
+          ++groups;
+          const GroupSignature sig = profile.SignatureOf(hosts);
+          if (profile.FindAllReduceCalibration(sig) != nullptr) ++fitted;
+          if (sig.num_nodes > 1) ++multi_node;
+        }
+      }
+      // Non-vacuous: replica groups occur, fitted entries are hit exactly
+      // when calibrated, and the multi-node layout spans nodes.
+      EXPECT_GT(groups, 100);
+      EXPECT_EQ(fitted > 0, calibrated);
+      EXPECT_EQ(multi_node > 0, layout.nodes > 1);
+    }
+  }
 }
 
 TEST(CostModelTest, LayerEstimateMaxOverGpusEq5) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "core/incremental_cost.h"
 #include "test_env.h"
@@ -90,29 +92,95 @@ void ExpectMatchesScratch(const CostModel& cost, const Assignment& a,
   ASSERT_EQ(mat.per_gpu_sync, ref.per_gpu_sync);
 }
 
+/// Shape of one random walk. The default is a 2 x 4 cluster; the wide
+/// shape spreads experts over many hosts, so retractions keep taking the
+/// router's general multi-destination path — the one LayerCostState
+/// replays from recorded cells instead of re-routing.
+struct WalkShape {
+  int nodes = 2;
+  int gpus_per_node = 4;
+  int slots = 3;
+  int warmup_ops = 16;
+  /// After warm-up, the hottest expert is expanded onto every second GPU
+  /// until it has this many hosts (0: no spreading).
+  int spread_hosts = 0;
+  /// Reset by taking over a caller-computed routing (the Scheduler's
+  /// one-route-per-trigger path) instead of routing inside Reset.
+  bool takeover = false;
+  /// When set, counts the applied ops' touched experts whose retraction
+  /// takes the general path with more cells than a record may hold.
+  int* over_cap_retractions = nullptr;
+};
+
+/// Cells the router's general path writes when it retracts `expert` under
+/// `p`, or 0 if a one- or two-destination fast path (or no spill) routes
+/// the expert. Works on a scratch routing, so it leaves nothing behind.
+size_t GeneralPathCells(const Assignment& a, const Placement& p,
+                        int expert) {
+  RoutedAssignment scratch = FlexibleRouter::Route(a, p);
+  std::vector<RoutedCell> cells;
+  const bool recorded = FlexibleRouter::RetractExpertRecording(
+      a, p, expert, &scratch, &cells, std::numeric_limits<size_t>::max());
+  return recorded ? cells.size() : 0;
+}
+
 /// One randomized walk: Apply random ops (feasible and not), Undo at
 /// random, compare against the oracle at every step, then unwind to depth
 /// zero and require bitwise restoration of the reset point.
-void RunRandomWalk(bool include_sync, bool hierarchical, uint64_t seed) {
+void RunRandomWalk(bool include_sync, bool hierarchical, uint64_t seed,
+                   const WalkShape& shape = WalkShape{}) {
   SCOPED_TRACE(testing::Message()
                << "include_sync=" << include_sync
-               << " hierarchical=" << hierarchical << " seed=" << seed);
-  TestEnv env = TestEnv::MakeGrid(2, 4);
+               << " hierarchical=" << hierarchical << " seed=" << seed
+               << " gpus=" << shape.nodes * shape.gpus_per_node
+               << " takeover=" << shape.takeover);
+  TestEnv env = TestEnv::MakeGrid(shape.nodes, shape.gpus_per_node);
   env.profile.set_hierarchical_a2a(hierarchical);
   ModelConfig model = GptMoES();
   model.num_experts = 12;
   const CostModel cost(&env.profile, ShapeFromModel(model));
+  const int gpus = shape.nodes * shape.gpus_per_node;
 
   Rng rng(seed);
-  const Assignment a = RandomAssignment(rng, model.num_experts, 8);
-  Placement start = MakePlacement(model.num_experts, 8, /*slots=*/3);
-  for (int i = 0; i < 16; ++i) {
+  const Assignment a = RandomAssignment(rng, model.num_experts, gpus);
+  Placement start = MakePlacement(model.num_experts, gpus, shape.slots);
+  for (int i = 0; i < shape.warmup_ops; ++i) {
     const Status ignored = ApplyOp(RandomOp(rng, start), &start);
     (void)ignored;
   }
+  if (shape.spread_hosts > 0) {
+    int hot = 0;
+    for (int e = 1; e < model.num_experts; ++e) {
+      if (a.ExpertTotal(e) > a.ExpertTotal(hot)) hot = e;
+    }
+    // Every slot is taken: free one on each new host by shrinking an
+    // expert that keeps other vExperts.
+    for (GpuId g = 0; g < gpus; g += 2) {
+      if (static_cast<int>(start.HostGpus(hot).size()) >= shape.spread_hosts) {
+        break;
+      }
+      if (start.VExpertsOn(hot, g) > 0) continue;
+      for (int x = 0; x < model.num_experts; ++x) {
+        if (x == hot || start.VExpertsOn(x, g) == 0 || start.VExperts(x) < 2) {
+          continue;
+        }
+        ASSERT_TRUE(ApplyOp(MakeShrink(x, g), &start).ok());
+        ASSERT_TRUE(
+            ApplyOp(MakeExpand(hot, start.HostGpus(hot).front(), g), &start)
+                .ok());
+        break;
+      }
+    }
+    ASSERT_EQ(static_cast<int>(start.HostGpus(hot).size()), shape.spread_hosts);
+  }
 
   LayerCostState state(&cost, include_sync);
-  state.Reset(a, start);
+  if (shape.takeover) {
+    RoutedAssignment routed = FlexibleRouter::Route(a, start);
+    state.Reset(a, start, &routed);
+  } else {
+    state.Reset(a, start);
+  }
   ExpectMatchesScratch(cost, a, start, include_sync, state);
 
   // `mirror[d]` is the placement the state must equal at depth d.
@@ -138,6 +206,16 @@ void RunRandomWalk(bool include_sync, bool hierarchical, uint64_t seed) {
       ASSERT_EQ(state.depth(), depth_before);
       ++rejects;
       continue;
+    }
+    if (shape.over_cap_retractions != nullptr) {
+      const int partner =
+          op.partner_expert != op.expert ? op.partner_expert : -1;
+      for (const int e : {op.expert, partner}) {
+        if (e >= 0 && GeneralPathCells(a, mirror.back(), e) >
+                          LayerCostState::kMaxRetractCells) {
+          ++*shape.over_cap_retractions;
+        }
+      }
     }
     mirror.push_back(std::move(trial));
     ++applies;
@@ -170,6 +248,41 @@ TEST(LayerCostStateTest, RandomWalkTrainingObjectiveHierarchical) {
 
 TEST(LayerCostStateTest, RandomWalkServeObjectiveHierarchical) {
   RunRandomWalk(/*include_sync=*/false, /*hierarchical=*/true, 6);
+}
+
+TEST(LayerCostStateTest, RandomWalkWideClusterMultiDestinationRetracts) {
+  WalkShape wide;
+  wide.nodes = 4;
+  wide.gpus_per_node = 4;
+  wide.slots = 4;
+  wide.warmup_ops = 96;
+  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/false, 7, wide);
+  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/true, 8, wide);
+  RunRandomWalk(/*include_sync=*/false, /*hierarchical=*/true, 9, wide);
+}
+
+TEST(LayerCostStateTest, RandomWalkOverCapRetractionsReRoute) {
+  // 128 GPUs with the hottest expert spread over 48 hosts: some
+  // retractions write more cells than one record may hold, so Apply drops
+  // the recording and the next retraction of that expert re-routes. The
+  // oracle after every Apply/Undo catches a partial or stale replay.
+  WalkShape wide;
+  wide.nodes = 16;
+  wide.gpus_per_node = 8;
+  wide.slots = 4;
+  wide.warmup_ops = 64;
+  wide.spread_hosts = 48;
+  int over_cap = 0;
+  wide.over_cap_retractions = &over_cap;
+  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/true, 12, wide);
+  EXPECT_GT(over_cap, 0);
+}
+
+TEST(LayerCostStateTest, ResetTakingOverRoutingMatchesFreshReset) {
+  WalkShape takeover;
+  takeover.takeover = true;
+  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/false, 10, takeover);
+  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/true, 11, takeover);
 }
 
 TEST(LayerCostStateTest, CrossNodeInflowCountsOnlyCrossNodeTraffic) {

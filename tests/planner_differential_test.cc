@@ -22,6 +22,7 @@
 #include "elastic/fault_plan.h"
 #include "gate/trace_generator.h"
 #include "test_env.h"
+#include "util/rng.h"
 
 namespace flexmoe {
 namespace {
@@ -387,6 +388,94 @@ TEST(PlannerDifferentialTest, DegradedAndDeadDevices) {
 
   RunPlanDifferential("finetune-shift", /*experts=*/32, /*gpus=*/16,
                       PolicyMakerOptions{}, /*steps=*/24, &health);
+}
+
+/// A random fully-bound placement: one vExpert per expert, the remaining
+/// slots to random experts, the shuffled slot list filling GPUs in order.
+/// Most experts keep a single vExpert, so majority nodes are full of swap
+/// partners the Migrate precondition rejects.
+Placement RandomPlacement(int experts, int gpus, int slots, Rng* rng) {
+  std::vector<int> slot_expert;
+  for (int e = 0; e < experts; ++e) slot_expert.push_back(e);
+  while (static_cast<int>(slot_expert.size()) < gpus * slots) {
+    slot_expert.push_back(static_cast<int>(rng->UniformInt(experts)));
+  }
+  rng->Shuffle(&slot_expert);
+  std::vector<std::map<GpuId, int>> replicas(static_cast<size_t>(experts));
+  for (size_t i = 0; i < slot_expert.size(); ++i) {
+    ++replicas[static_cast<size_t>(slot_expert[i])]
+              [static_cast<GpuId>(i) / slots];
+  }
+  PlacementOptions o;
+  o.num_experts = experts;
+  o.num_gpus = gpus;
+  o.slots_per_gpu = slots;
+  return *Placement::FromReplicaMap(o, replicas);
+}
+
+// PlanMigrations scores swaps from post-swap group signatures, without
+// trial ops; the reference applies every trial swap with ApplyOp. Random
+// placements reach shapes the planner walks above rarely visit: partners
+// with a single vExpert on the majority node (swaps ApplyOp rejects), ties
+// in the majority vote, and — with a health mask — degraded GPUs on the
+// majority node that may not receive a vExpert.
+TEST(PlannerDifferentialTest, MigrationsOnRandomPlacements) {
+  struct Layout {
+    int nodes;
+    int gpus_per_node;
+  };
+  for (const Layout layout : {Layout{2, 8}, Layout{4, 4}}) {
+    TestEnv env = TestEnv::MakeGrid(layout.nodes, layout.gpus_per_node);
+    const int gpus = env.topo->num_gpus();
+    const int experts = 2 * gpus;
+    ModelConfig model = GptMoES();
+    model.num_experts = experts;
+    const CostModel cost(&env.profile, ShapeFromModel(model));
+
+    ClusterHealth health(gpus);
+    for (const GpuId g : {1, gpus / 2 + 2, gpus - 1}) {
+      FaultEvent slow;
+      slow.type = FaultType::kSlowdown;
+      slow.gpu = g;
+      slow.compute_multiplier = 2.0;
+      ASSERT_TRUE(health.Apply(slow).ok());
+    }
+
+    PolicyMaker pm(&cost, PolicyMakerOptions{});
+    ReferencePlanner ref(&cost, PolicyMakerOptions{});
+    PolicyMaker pm_degraded(&cost, PolicyMakerOptions{});
+    ReferencePlanner ref_degraded(&cost, PolicyMakerOptions{});
+    pm_degraded.SetClusterHealth(&health);
+    ref_degraded.SetClusterHealth(&health);
+
+    Rng rng(29);
+    int planned = 0, health_changed_plan = 0, single_vexpert = 0;
+    for (int trial = 0; trial < 150; ++trial) {
+      SCOPED_TRACE(testing::Message() << layout.nodes << "x"
+                                      << layout.gpus_per_node << " trial "
+                                      << trial);
+      const Placement p = RandomPlacement(experts, gpus, /*slots=*/3, &rng);
+      for (int e = 0; e < experts; ++e) {
+        if (p.VExperts(e) == 1) ++single_vexpert;
+      }
+      const std::vector<ModOp> want = ref.PlanMigrations(p, 4);
+      ExpectSameOps(pm.PlanMigrations(p, 4), want);
+      const std::vector<ModOp> want_degraded =
+          ref_degraded.PlanMigrations(p, 4);
+      ExpectSameOps(pm_degraded.PlanMigrations(p, 4), want_degraded);
+      if (!want.empty()) ++planned;
+      bool same = want.size() == want_degraded.size();
+      for (size_t i = 0; same && i < want.size(); ++i) {
+        same = want[i].ToString() == want_degraded[i].ToString();
+      }
+      if (!same) ++health_changed_plan;
+    }
+    // Non-vacuous: migrations get planned, single-vExpert partners abound,
+    // and the degraded mask actually removes candidates.
+    EXPECT_GT(planned, 10);
+    EXPECT_GT(single_vexpert, 150 * experts / 2);
+    EXPECT_GT(health_changed_plan, 0);
+  }
 }
 
 // The scheduler's incremental plan loop (lazy Reset + Apply per accepted

@@ -53,6 +53,13 @@ Assignment SkewedAssignment(int experts, int gpus, int64_t hot_load,
   return a;
 }
 
+/// Total Eq. 9 sync seconds across all experts (the migration objective).
+double TotalSyncSeconds(const CostModel& cost, const Placement& p) {
+  double total = 0.0;
+  for (int e = 0; e < p.num_experts(); ++e) total += cost.SyncSeconds(p, e);
+  return total;
+}
+
 TEST(PolicyMakerOptionsTest, Validation) {
   PolicyMakerOptions o;
   EXPECT_TRUE(o.Validate().ok());
@@ -147,7 +154,7 @@ TEST(PolicyMakerTest, RespectsMinImprovementGuard) {
 TEST(PolicyMakerTest, TotalSyncSecondsZeroWithoutReplicas) {
   const Fixture f = Fixture::Make();
   const Placement p = MakePlacement(8, 8);
-  EXPECT_EQ(f.pm.TotalSyncSeconds(p), 0.0);
+  EXPECT_EQ(TotalSyncSeconds(f.cost, p), 0.0);
 }
 
 TEST(PolicyMakerTest, MigrationConsolidatesCrossNodeReplicas) {
@@ -158,7 +165,7 @@ TEST(PolicyMakerTest, MigrationConsolidatesCrossNodeReplicas) {
   ASSERT_TRUE(p.AddVExpert(0, 1).ok());
   ASSERT_TRUE(p.RemoveVExpert(4, 4).ok());
   ASSERT_TRUE(p.AddVExpert(0, 4).ok());
-  const double sync_before = f.pm.TotalSyncSeconds(p);
+  const double sync_before = TotalSyncSeconds(f.cost, p);
   EXPECT_GT(sync_before, 0.0);
 
   const std::vector<ModOp> migrations = f.pm.PlanMigrations(p, 4);
@@ -167,7 +174,7 @@ TEST(PolicyMakerTest, MigrationConsolidatesCrossNodeReplicas) {
     EXPECT_EQ(op.type, ModOpType::kMigrate);
     ASSERT_TRUE(ApplyOp(op, &p).ok());
   }
-  const double sync_after = f.pm.TotalSyncSeconds(p);
+  const double sync_after = TotalSyncSeconds(f.cost, p);
   EXPECT_LT(sync_after, sync_before);
   EXPECT_TRUE(p.Validate().ok());
 }

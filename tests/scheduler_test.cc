@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/scheduler.h"
 #include "core/balance.h"
+#include "elastic/fault_plan.h"
 
 namespace flexmoe {
 namespace {
@@ -172,6 +174,72 @@ TEST(SchedulerTest, VarianceMetricAlsoBalances) {
   const SchedulerDecision d = sched.OnStep(0, a, &p);
   EXPECT_TRUE(d.triggered);
   EXPECT_LT(d.metric_after, d.metric_before);
+}
+
+// A degraded device makes the trigger plan evacuation ops before the
+// balance loop. They change the target after MetricOf routed it, so the
+// plan state may not take over that routing: the decision must equal the
+// Algorithm 1 body run on a state built by a fresh Reset of the evacuated
+// placement.
+TEST(SchedulerTest, EvacuationTriggerPlansFromFreshReset) {
+  Fixture f = Fixture::Make();
+  ClusterHealth health(8);
+  FaultEvent slow;
+  slow.type = FaultType::kSlowdown;
+  slow.gpu = 0;  // sole host of the hot expert 0
+  slow.compute_multiplier = 2.0;
+  ASSERT_TRUE(health.Apply(slow).ok());
+  f.pm.SetClusterHealth(&health);
+  SchedulerOptions opts;
+  opts.max_plan_iterations = 16;
+  Scheduler sched(&f.pm, opts);
+  sched.SetClusterHealth(&health);
+  const Assignment a = Skewed();
+  Placement target = MakePlacement();
+
+  // Reference: evacuate, Reset a fresh state on the result, plan, migrate.
+  Placement want = target;
+  std::vector<ModOp> want_ops =
+      f.pm.PlanEvacuation(want, opts.max_evacuations);
+  ASSERT_FALSE(want_ops.empty());
+  for (const ModOp& op : want_ops) ASSERT_TRUE(ApplyOp(op, &want).ok());
+  LayerCostState state(&f.cost, /*include_sync=*/true);
+  state.Reset(a, want);
+  const double score_before = state.Score();
+  double metric = sched.MetricOf(a, target);  // the pre-evacuation metric
+  int rounds = 0;
+  for (; rounds < opts.max_plan_iterations && metric > opts.threshold;
+       ++rounds) {
+    const std::vector<ModOp> plan = f.pm.PlanOnState(&state);
+    if (plan.empty()) break;
+    for (const ModOp& op : plan) {
+      ASSERT_TRUE(ApplyOp(op, &want).ok());
+      ASSERT_TRUE(state.Apply(op));
+      want_ops.push_back(op);
+    }
+    std::vector<double> loads;
+    for (const int64_t t : state.per_gpu_compute_tokens()) {
+      loads.push_back(static_cast<double>(t));
+    }
+    metric = BalanceRatio(loads);
+  }
+  for (const ModOp& op : f.pm.PlanMigrations(want, opts.max_migrations)) {
+    ASSERT_TRUE(ApplyOp(op, &want).ok());
+    want_ops.push_back(op);
+  }
+
+  const SchedulerDecision d = sched.OnStep(0, a, &target);
+  ASSERT_TRUE(d.triggered);
+  EXPECT_GT(d.evacuations, 0);
+  EXPECT_GT(d.plan_rounds, 0);
+  EXPECT_EQ(d.plan_rounds, rounds);
+  EXPECT_EQ(d.est_score_before, score_before);
+  EXPECT_EQ(d.metric_after, metric);
+  ASSERT_EQ(d.ops.size(), want_ops.size());
+  for (size_t i = 0; i < want_ops.size(); ++i) {
+    EXPECT_EQ(d.ops[i].ToString(), want_ops[i].ToString());
+  }
+  EXPECT_TRUE(target == want);
 }
 
 TEST(TriggerNamesTest, Strings) {

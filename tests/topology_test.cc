@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <vector>
+
 #include "topology/profile.h"
 #include "topology/topology.h"
+#include "util/rng.h"
 
 namespace flexmoe {
 namespace {
@@ -137,6 +142,12 @@ TEST(HardwareProfileTest, RingAllReduceFormula) {
       (bytes / 4.0 / topo.options().intra_node_bytes_per_sec +
        topo.options().intra_node_latency_sec);
   EXPECT_NEAR(p.AllReduceSeconds(bytes, group), expected, 1e-9);
+  // A group spanning nodes rings over the inter-node link, k = 2.
+  const double cross_expected =
+      2.0 * 1.0 *
+      (bytes / 2.0 / topo.options().inter_node_bytes_per_sec +
+       topo.options().inter_node_latency_sec);
+  EXPECT_NEAR(p.AllReduceSeconds(bytes, {0, 8}), cross_expected, 1e-9);
 }
 
 TEST(HardwareProfileTest, AllReduceTrivialGroups) {
@@ -190,6 +201,46 @@ TEST(HardwareProfileTest, GroupSignature) {
   EXPECT_TRUE(a == GroupSignature({4, 1}));
   EXPECT_FALSE(a == b);
   EXPECT_TRUE(a < b || b < a);
+}
+
+// The replica-map walk must agree with the member-list signature, with and
+// without one moved vExpert, on every random group of a 4 x 8 cluster.
+TEST(HardwareProfileTest, SignatureOfReplicasMatchesMemberList) {
+  const Topology topo = MakeTopo();
+  const HardwareProfile p(&topo, GpuSpec{});
+  Rng rng(5);
+  int moves = 0;
+  int from_leaves = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::map<GpuId, int> replicas;
+    const int hosts = 1 + static_cast<int>(rng.UniformInt(6));
+    while (static_cast<int>(replicas.size()) < hosts) {
+      const GpuId g = static_cast<GpuId>(rng.UniformInt(topo.num_gpus()));
+      replicas[g] = 1 + static_cast<int>(rng.UniformInt(2));
+    }
+    std::vector<GpuId> members;
+    for (const auto& [gpu, count] : replicas) members.push_back(gpu);
+    EXPECT_EQ(p.SignatureOfReplicas(replicas), p.SignatureOf(members));
+
+    auto from = replicas.begin();
+    std::advance(from, static_cast<long>(rng.UniformInt(replicas.size())));
+    const GpuId to = static_cast<GpuId>(rng.UniformInt(topo.num_gpus()));
+    if (to == from->first) continue;
+    std::map<GpuId, int> moved = replicas;
+    if (--moved[from->first] == 0) {
+      moved.erase(from->first);
+      ++from_leaves;
+    }
+    ++moved[to];
+    std::vector<GpuId> moved_members;
+    for (const auto& [gpu, count] : moved) moved_members.push_back(gpu);
+    EXPECT_EQ(p.SignatureOfReplicas(replicas, from->first, to),
+              p.SignatureOf(moved_members))
+        << "move " << from->first << " -> " << to;
+    ++moves;
+  }
+  EXPECT_GT(moves, 400);
+  EXPECT_GT(from_leaves, 100);
 }
 
 }  // namespace
