@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstring>
 #include <memory>
+#include <string>
 
 #include "baselines/expert_parallel.h"
 #include "baselines/fastermoe.h"
 #include "baselines/swipe.h"
 #include "gate/trace_generator.h"
+#include "harness/experiment.h"
 #include "test_env.h"
+#include "util/string_util.h"
 
 namespace flexmoe {
 namespace {
@@ -238,6 +243,192 @@ TEST(BaselineComparisonTest, EfficiencyQuadrantsOfFigure7a) {
   EXPECT_DOUBLE_EQ(fm_tok, 1.0);   // FasterMoE never drops
   EXPECT_LT(sw_tok, 1.0);          // SWIPE re-routes
   EXPECT_GT(sw_exp, ds_exp);       // SWIPE balances better than DeepSpeed
+}
+
+// ---- Per-step pin of the static systems -----------------------------------
+//
+// Every StepMetrics field except gpu_utilization (plus FasterMoE's shadow
+// choice) of every step, over {DeepSpeed cf 1.0, DeepSpeed cf 0, SWIPE,
+// FasterMoE} x {train, serve} x {healthy, fail-stop + straggler} x
+// K in {1, 4}. The digests were captured from the pre-refactor baselines
+// and must never need editing for a change that claims identical output.
+
+/// FNV-1a over the raw bytes of each folded value.
+class Fnv {
+ public:
+  template <typename T>
+  void Add(T v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 1099511628211ull;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+void FoldStepMetrics(const StepMetrics& m, Fnv* h) {
+  h->Add(m.step);
+  h->Add(m.step_seconds);
+  h->Add(m.a2a_seconds);
+  h->Add(m.compute_seconds);
+  h->Add(m.sync_seconds);
+  h->Add(m.non_moe_seconds);
+  h->Add(m.adjust_block_seconds);
+  h->Add(m.balance_ratio);
+  h->Add(m.token_efficiency);
+  h->Add(m.expert_efficiency);
+  h->Add(m.tokens_total);
+  h->Add(m.tokens_dropped);
+  h->Add(m.tokens_recirculated);
+  h->Add(m.ops_applied);
+  h->Add(m.ops_launched);
+  h->Add(m.recovery_seconds);
+  h->Add(m.faults_applied);
+  h->Add(m.degraded);
+}
+
+/// The static system named `system` ("deepspeed" | "swipe" |
+/// "fastermoe"), built through the experiment harness.
+std::unique_ptr<MoESystem> MakeStaticSystem(const TestEnv& env,
+                                            const std::string& system,
+                                            double capacity_factor,
+                                            int chunks) {
+  ExperimentOptions o;
+  o.system = system;
+  o.model = SmallModel();
+  o.num_gpus = env.topo->num_gpus();
+  o.capacity_factor = capacity_factor;
+  o.pipeline_chunks = chunks;
+  return *BuildSystem(o, env.topo.get(), &env.profile);
+}
+
+/// FasterMoE's per-layer shadow choice of the last step; nullptr for the
+/// systems that never shadow.
+const std::vector<std::vector<int>>* ShadowsOf(const MoESystem& sys) {
+  const auto* faster = dynamic_cast<const FasterMoESystem*>(&sys);
+  return faster != nullptr ? &faster->last_shadows() : nullptr;
+}
+
+/// GPU 3 fail-stops before step 2; GPU 5 straggles from step 4.
+FaultPlan FailStopAndStraggler() {
+  FaultEvent fail;
+  fail.step = 2;
+  fail.type = FaultType::kFailStop;
+  fail.gpu = 3;
+  FaultEvent slow;
+  slow.step = 4;
+  slow.type = FaultType::kSlowdown;
+  slow.gpu = 5;
+  slow.compute_multiplier = 2.5;
+  slow.bandwidth_multiplier = 2.0;
+  return FaultPlan::FromEvents({fail, slow});
+}
+
+/// Runs `steps` steps of a fixed skewed trace and digests them.
+uint64_t RunAndDigest(MoESystem* sys, bool serving, bool faults, int steps) {
+  if (faults) {
+    EXPECT_TRUE(sys->InstallFaultPlan(FailStopAndStraggler()).ok());
+  }
+  const ModelConfig model = SmallModel();
+  TraceGeneratorOptions t;
+  t.num_experts = model.num_experts;
+  t.num_moe_layers = model.num_moe_layers;
+  t.num_gpus = 8;
+  t.tokens_per_gpu = model.tokens_per_gpu;
+  t.seed = 23;
+  TraceGenerator gen = *TraceGenerator::Create(t);
+  Fnv h;
+  for (int s = 0; s < steps; ++s) {
+    const std::vector<Assignment> step = gen.Step();
+    FoldStepMetrics(serving ? sys->ServeMicrobatch(step) : sys->RunStep(step),
+                    &h);
+    if (const auto* shadows = ShadowsOf(*sys); shadows != nullptr) {
+      h.Add(shadows->size());
+      for (const std::vector<int>& layer : *shadows) {
+        h.Add(layer.size());
+        for (int e : layer) h.Add(e);
+      }
+    }
+  }
+  return h.hash();
+}
+
+TEST(BaselinePinTest, PerStepMetricsFingerprints) {
+  struct System {
+    const char* name;
+    double capacity_factor;
+  };
+  const System systems[] = {{"deepspeed", 1.0},
+                            {"deepspeed", 0.0},
+                            {"swipe", 1.0},
+                            {"fastermoe", 1.0}};
+  // Indexed [system][serving][faults][chunks == 4].
+  const uint64_t expected[4][2][2][2] = {
+      {
+          {{0xb6a5097c7ce1b54cull, 0x763ee1442c0e90f2ull},
+           {0x260b5980d7a0369ull, 0x5d943d57c06f2beull}},
+          {{0xbcb42eea81570b1dull, 0xc05674f8ee54c192ull},
+           {0x4501136ef9771c19ull, 0xf14cd7c9a3348140ull}},
+      },
+      {
+          {{0x3c0bd6529ccd5386ull, 0xf02c3d8bf3d369f4ull},
+           {0x68a1be3e366b243aull, 0xfa69e0cabf68a2cull}},
+          {{0x326559c8380ffc1cull, 0xbefebb5b5b2c9c25ull},
+           {0xbeb23be64a8e8be6ull, 0x3273bdc68e172bfbull}},
+      },
+      {
+          {{0xeeae088e29af8051ull, 0xc5cbdde1eccd7c9bull},
+           {0x61215cb5209ff354ull, 0x7107c229cd1b1721ull}},
+          {{0xbcb42eea81570b1dull, 0xc05674f8ee54c192ull},
+           {0x4501136ef9771c19ull, 0xf14cd7c9a3348140ull}},
+      },
+      {
+          {{0x117c469bd2a46be7ull, 0x4becab82834521ffull},
+           {0xd39229f919726252ull, 0xa7b532b010866108ull}},
+          {{0x13c765a9d1666330ull, 0x9f80569079cdcf7eull},
+           {0x2c1f67448a31af86ull, 0x4d7ac8730c7f5a98ull}},
+      },
+  };
+  for (int s = 0; s < 4; ++s) {
+    for (int serving = 0; serving < 2; ++serving) {
+      for (int faults = 0; faults < 2; ++faults) {
+        for (int k4 = 0; k4 < 2; ++k4) {
+          const TestEnv env = TestEnv::Make();
+          auto sys = MakeStaticSystem(env, systems[s].name,
+                                      systems[s].capacity_factor,
+                                      k4 != 0 ? 4 : 1);
+          const uint64_t got =
+              RunAndDigest(sys.get(), serving != 0, faults != 0, 8);
+          EXPECT_EQ(got, expected[s][serving][faults][k4])
+              << systems[s].name << " cf=" << systems[s].capacity_factor
+              << " serving=" << serving << " faults=" << faults
+              << " K=" << (k4 != 0 ? 4 : 1)
+              << StrFormat(" got=0x%" PRIx64, got);
+        }
+      }
+    }
+  }
+}
+
+TEST(BaselinePinTest, SwipeServingIsDeepSpeedServingAtCapacityOne) {
+  for (const bool faults : {false, true}) {
+    const TestEnv ed = TestEnv::Make();
+    const TestEnv es = TestEnv::Make();
+    auto ds = MakeStaticSystem(ed, "deepspeed", 1.0, 1);
+    auto sw = MakeStaticSystem(es, "swipe", 1.0, 1);
+    EXPECT_EQ(RunAndDigest(ds.get(), /*serving=*/true, faults, 8),
+              RunAndDigest(sw.get(), /*serving=*/true, faults, 8));
+    ASSERT_EQ(ds->stats().num_steps(), sw->stats().num_steps());
+    for (int64_t i = 0; i < ds->stats().num_steps(); ++i) {
+      EXPECT_EQ(ds->stats().steps()[static_cast<size_t>(i)].gpu_utilization,
+                sw->stats().steps()[static_cast<size_t>(i)].gpu_utilization)
+          << "step " << i;
+    }
+  }
 }
 
 }  // namespace
