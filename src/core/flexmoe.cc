@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/balance.h"
+#include "core/step_accounting.h"
 
 namespace flexmoe {
 
@@ -167,18 +168,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
       // the new one — re-pick from the repaired placements this step.
       layer_chunks_.assign(live_.size(), 0);
     }
-    metrics.faults_applied = static_cast<int>(fault_report.events.size());
-    metrics.recovery_seconds = fault_report.recovery_seconds;
-    // Degraded mode is a state, not an event: flag every step on which
-    // some expert has no replica on a live device.
-    if (!elastic_.health().AllHealthy()) {
-      for (const Placement& p : live_) {
-        if (ExpertsWithoutLiveReplica(p, elastic_.health()) > 0) {
-          metrics.degraded = true;
-          break;
-        }
-      }
-    }
+    FillFaultMetrics(elastic_, fault_report, live_ptrs, &metrics);
   }
 
   // The assignments the system actually trains on this step: sources on
@@ -211,17 +201,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
     cluster_.BlockAll(boundary, blocking);
     metrics.adjust_block_seconds = blocking;
   }
-  if (obs::Tracer* tr = obs::TracerOf(obs_); tr != nullptr) {
-    for (const FaultEvent& e : fault_report.events) {
-      tr->Instant("fault_event", "recovery", obs::kControlLane, boundary,
-                  "gpu", static_cast<double>(e.gpu));
-    }
-    if (blocking > 0.0) {
-      tr->Span("recovery_block", "recovery", obs::kControlLane, boundary,
-               boundary + blocking, "faults",
-               static_cast<double>(fault_report.events.size()));
-    }
-  }
+  TraceFaultBoundary(obs_, fault_report, boundary, blocking);
 
   // 1b. (training only) Pre-warm NCCL groups for the live placements —
   //     serving runs no replica collectives, so there is nothing to warm.
@@ -415,19 +395,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
     }
   }
 
-  if (obs::MetricsRegistry* m = obs::MetricsOf(obs_); m != nullptr) {
-    m->Add(serving ? "serve.microbatches" : "train.steps");
-    m->Add("tokens.total", metrics.tokens_total);
-    if (metrics.tokens_dropped > 0) {
-      m->Add("tokens.dropped", metrics.tokens_dropped);
-    }
-    if (metrics.faults_applied > 0) {
-      m->Add("faults.applied", metrics.faults_applied);
-    }
-    m->Observe("step.seconds", metrics.step_seconds);
-    m->Observe("step.balance_ratio", metrics.balance_ratio);
-  }
-
+  RecordStepObservability(obs_, serving, metrics);
   ++step_;
   stats_.Add(metrics);
   return metrics;

@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "baselines/expert_parallel.h"
-#include "baselines/fastermoe.h"
-#include "baselines/swipe.h"
+#include "baselines/static_system.h"
 #include "collective/profiler.h"
 #include "core/cost_model.h"
 #include "util/string_util.h"
@@ -119,39 +117,24 @@ Result<std::unique_ptr<MoESystem>> BuildSystem(
                              FlexMoESystem::Create(o, topo, profile));
     return std::unique_ptr<MoESystem>(std::move(sys));
   }
+  StaticSystemOptions o;
   if (key == "deepspeed") {
-    ExpertParallelOptions o;
-    o.model = options.model;
-    o.num_gpus = options.num_gpus;
-    o.capacity_factor = options.capacity_factor;
-    o.elastic = options.elastic;
-    o.pipeline.chunks = options.pipeline_chunks;
-    FLEXMOE_ASSIGN_OR_RETURN(auto sys,
-                             ExpertParallelSystem::Create(o, topo, profile));
-    return std::unique_ptr<MoESystem>(std::move(sys));
+    o.policy = TokenPolicy::kCapacityDrop;
+  } else if (key == "swipe") {
+    o.policy = TokenPolicy::kStrictRebalance;
+  } else if (key == "fastermoe") {
+    o.policy = TokenPolicy::kShadow;
+  } else {
+    return Status::InvalidArgument(
+        StrFormat("unknown system '%s'", options.system.c_str()));
   }
-  if (key == "fastermoe") {
-    FasterMoEOptions o;
-    o.model = options.model;
-    o.num_gpus = options.num_gpus;
-    o.elastic = options.elastic;
-    o.pipeline.chunks = options.pipeline_chunks;
-    FLEXMOE_ASSIGN_OR_RETURN(auto sys,
-                             FasterMoESystem::Create(o, topo, profile));
-    return std::unique_ptr<MoESystem>(std::move(sys));
-  }
-  if (key == "swipe") {
-    SwipeOptions o;
-    o.model = options.model;
-    o.num_gpus = options.num_gpus;
-    o.elastic = options.elastic;
-    o.pipeline.chunks = options.pipeline_chunks;
-    FLEXMOE_ASSIGN_OR_RETURN(auto sys,
-                             SwipeSystem::Create(o, topo, profile));
-    return std::unique_ptr<MoESystem>(std::move(sys));
-  }
-  return Status::InvalidArgument(
-      StrFormat("unknown system '%s'", options.system.c_str()));
+  o.model = options.model;
+  o.num_gpus = options.num_gpus;
+  o.capacity_factor = options.capacity_factor;
+  o.elastic = options.elastic;
+  o.pipeline.chunks = options.pipeline_chunks;
+  FLEXMOE_ASSIGN_OR_RETURN(auto sys, StaticSystem::Create(o, topo, profile));
+  return std::unique_ptr<MoESystem>(std::move(sys));
 }
 
 ExperimentOptions LargeEPOptions(int num_gpus) {

@@ -8,9 +8,7 @@
 #include <memory>
 #include <string>
 
-#include "baselines/expert_parallel.h"
-#include "baselines/fastermoe.h"
-#include "baselines/swipe.h"
+#include "baselines/static_system.h"
 #include "gate/trace_generator.h"
 #include "harness/experiment.h"
 #include "test_env.h"
@@ -55,11 +53,11 @@ TEST(FixedPlacementTest, OneVExpertPerExpert) {
 
 TEST(ExpertParallelTest, DropsTokensBeyondCapacity) {
   TestEnv f = TestEnv::Make();
-  ExpertParallelOptions o;
+  StaticSystemOptions o;
   o.model = SmallModel();
   o.num_gpus = 8;
   o.capacity_factor = 1.0;
-  auto sys = *ExpertParallelSystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticSystem::Create(o, f.topo.get(), &f.profile);
   const StepMetrics m = sys->RunStep(SkewedStep(o.model, 8));
   EXPECT_GT(m.tokens_dropped, 0);
   EXPECT_LT(m.token_efficiency, 1.0);
@@ -69,11 +67,11 @@ TEST(ExpertParallelTest, DropsTokensBeyondCapacity) {
 
 TEST(ExpertParallelTest, NoCapacityNoDrops) {
   TestEnv f = TestEnv::Make();
-  ExpertParallelOptions o;
+  StaticSystemOptions o;
   o.model = SmallModel();
   o.num_gpus = 8;
   o.capacity_factor = 0.0;  // disabled
-  auto sys = *ExpertParallelSystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticSystem::Create(o, f.topo.get(), &f.profile);
   const StepMetrics m = sys->RunStep(SkewedStep(o.model, 8));
   EXPECT_EQ(m.tokens_dropped, 0);
   EXPECT_DOUBLE_EQ(m.token_efficiency, 1.0);
@@ -84,14 +82,14 @@ TEST(ExpertParallelTest, CapacityCapsStepTime) {
   // capped step must be faster than the uncapped one.
   TestEnv f1 = TestEnv::Make();
   TestEnv f2 = TestEnv::Make();
-  ExpertParallelOptions capped;
+  StaticSystemOptions capped;
   capped.model = SmallModel();
   capped.num_gpus = 8;
   capped.capacity_factor = 1.0;
-  ExpertParallelOptions uncapped = capped;
+  StaticSystemOptions uncapped = capped;
   uncapped.capacity_factor = 0.0;
-  auto sys_c = *ExpertParallelSystem::Create(capped, f1.topo.get(), &f1.profile);
-  auto sys_u = *ExpertParallelSystem::Create(uncapped, f2.topo.get(), &f2.profile);
+  auto sys_c = *StaticSystem::Create(capped, f1.topo.get(), &f1.profile);
+  auto sys_u = *StaticSystem::Create(uncapped, f2.topo.get(), &f2.profile);
   const StepMetrics mc = sys_c->RunStep(SkewedStep(capped.model, 8));
   const StepMetrics mu = sys_u->RunStep(SkewedStep(capped.model, 8));
   EXPECT_LT(mc.step_seconds, mu.step_seconds);
@@ -99,10 +97,11 @@ TEST(ExpertParallelTest, CapacityCapsStepTime) {
 
 TEST(FasterMoETest, ShadowsHotExperts) {
   TestEnv f = TestEnv::Make();
-  FasterMoEOptions o;
+  StaticSystemOptions o;
+  o.policy = TokenPolicy::kShadow;
   o.model = SmallModel();
   o.num_gpus = 8;
-  auto sys = *FasterMoESystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticSystem::Create(o, f.topo.get(), &f.profile);
   sys->RunStep(SkewedStep(o.model, 8));
   ASSERT_EQ(sys->last_shadows().size(), 2u);
   // The hot expert 0 must be shadowed in every layer.
@@ -115,10 +114,11 @@ TEST(FasterMoETest, ShadowsHotExperts) {
 
 TEST(FasterMoETest, NoShadowsWhenBalanced) {
   TestEnv f = TestEnv::Make();
-  FasterMoEOptions o;
+  StaticSystemOptions o;
+  o.policy = TokenPolicy::kShadow;
   o.model = SmallModel();
   o.num_gpus = 8;
-  auto sys = *FasterMoESystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticSystem::Create(o, f.topo.get(), &f.profile);
   std::vector<Assignment> balanced;
   for (int l = 0; l < o.model.num_moe_layers; ++l) {
     Assignment a(o.model.num_experts, 8);
@@ -137,15 +137,16 @@ TEST(FasterMoETest, NeverDropsAndBeatsUncappedEpOnSkew) {
   TestEnv f1 = TestEnv::Make();
   TestEnv f2 = TestEnv::Make();
   const ModelConfig model = SmallModel();
-  FasterMoEOptions fo;
+  StaticSystemOptions fo;
+  fo.policy = TokenPolicy::kShadow;
   fo.model = model;
   fo.num_gpus = 8;
-  ExpertParallelOptions eo;
+  StaticSystemOptions eo;
   eo.model = model;
   eo.num_gpus = 8;
   eo.capacity_factor = 0.0;  // uncapped EP: no drops, full imbalance
-  auto faster = *FasterMoESystem::Create(fo, f1.topo.get(), &f1.profile);
-  auto ep = *ExpertParallelSystem::Create(eo, f2.topo.get(), &f2.profile);
+  auto faster = *StaticSystem::Create(fo, f1.topo.get(), &f1.profile);
+  auto ep = *StaticSystem::Create(eo, f2.topo.get(), &f2.profile);
   const StepMetrics mf = faster->RunStep(SkewedStep(model, 8));
   const StepMetrics me = ep->RunStep(SkewedStep(model, 8));
   EXPECT_EQ(mf.tokens_dropped, 0);
@@ -183,10 +184,11 @@ TEST(SwipeRebalanceTest, NoReassignmentWhenBalanced) {
 
 TEST(SwipeSystemTest, HighExpertEfficiencyLowTokenEfficiency) {
   TestEnv f = TestEnv::Make();
-  SwipeOptions o;
+  StaticSystemOptions o;
+  o.policy = TokenPolicy::kStrictRebalance;
   o.model = SmallModel();
   o.num_gpus = 8;
-  auto sys = *SwipeSystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticSystem::Create(o, f.topo.get(), &f.profile);
   const StepMetrics m = sys->RunStep(SkewedStep(o.model, 8));
   // Strict balance: near-perfect expert efficiency...
   EXPECT_GT(m.expert_efficiency, 0.9);
@@ -214,18 +216,20 @@ TEST(BaselineComparisonTest, EfficiencyQuadrantsOfFigure7a) {
   t.seed = 11;
   TraceGenerator gen = *TraceGenerator::Create(t);
 
-  ExpertParallelOptions eo;
+  StaticSystemOptions eo;
   eo.model = model;
   eo.num_gpus = 8;
-  SwipeOptions so;
+  StaticSystemOptions so;
+  so.policy = TokenPolicy::kStrictRebalance;
   so.model = model;
   so.num_gpus = 8;
-  FasterMoEOptions fo;
+  StaticSystemOptions fo;
+  fo.policy = TokenPolicy::kShadow;
   fo.model = model;
   fo.num_gpus = 8;
-  auto ds = *ExpertParallelSystem::Create(eo, fd.topo.get(), &fd.profile);
-  auto sw = *SwipeSystem::Create(so, fs.topo.get(), &fs.profile);
-  auto fm = *FasterMoESystem::Create(fo, ff.topo.get(), &ff.profile);
+  auto ds = *StaticSystem::Create(eo, fd.topo.get(), &fd.profile);
+  auto sw = *StaticSystem::Create(so, fs.topo.get(), &fs.profile);
+  auto fm = *StaticSystem::Create(fo, ff.topo.get(), &ff.profile);
 
   for (int s = 0; s < 10; ++s) {
     const auto step = gen.Step();
@@ -309,8 +313,9 @@ std::unique_ptr<MoESystem> MakeStaticSystem(const TestEnv& env,
 /// FasterMoE's per-layer shadow choice of the last step; nullptr for the
 /// systems that never shadow.
 const std::vector<std::vector<int>>* ShadowsOf(const MoESystem& sys) {
-  const auto* faster = dynamic_cast<const FasterMoESystem*>(&sys);
-  return faster != nullptr ? &faster->last_shadows() : nullptr;
+  const auto* s = dynamic_cast<const StaticSystem*>(&sys);
+  return s != nullptr && s->name() == "FasterMoE" ? &s->last_shadows()
+                                                  : nullptr;
 }
 
 /// GPU 3 fail-stops before step 2; GPU 5 straggles from step 4.

@@ -8,9 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/expert_parallel.h"
-#include "baselines/fastermoe.h"
-#include "baselines/swipe.h"
+#include "baselines/static_system.h"
 #include "core/flexmoe.h"
 #include "elastic/recovery.h"
 #include "harness/golden.h"
@@ -50,22 +48,13 @@ class AllSystemsTest : public testing::TestWithParam<const char*> {
       o.num_gpus = env->topo->num_gpus();
       return *FlexMoESystem::Create(o, env->topo.get(), &env->profile);
     }
-    if (name == "deepspeed") {
-      ExpertParallelOptions o;
-      o.model = m;
-      o.num_gpus = env->topo->num_gpus();
-      return *ExpertParallelSystem::Create(o, env->topo.get(), &env->profile);
-    }
-    if (name == "fastermoe") {
-      FasterMoEOptions o;
-      o.model = m;
-      o.num_gpus = env->topo->num_gpus();
-      return *FasterMoESystem::Create(o, env->topo.get(), &env->profile);
-    }
-    SwipeOptions o;
+    StaticSystemOptions o;
+    o.policy = name == "deepspeed"   ? TokenPolicy::kCapacityDrop
+               : name == "fastermoe" ? TokenPolicy::kShadow
+                                     : TokenPolicy::kStrictRebalance;
     o.model = m;
     o.num_gpus = env->topo->num_gpus();
-    return *SwipeSystem::Create(o, env->topo.get(), &env->profile);
+    return *StaticSystem::Create(o, env->topo.get(), &env->profile);
   }
 };
 
