@@ -388,17 +388,15 @@ StepMetrics StaticSystem::RunStepImpl(
   // 7. Metrics. SWIPE's re-assigned tokens ARE processed (expert
   //    efficiency stays high) but by the wrong experts, so they cost token
   //    efficiency — Figure 7(a)'s trade-off.
-  const double token_eff =
-      total > 0 ? static_cast<double>(total - dropped - reassigned) /
-                      static_cast<double>(total)
-                : 1.0;
-  StepMetrics metrics = MetricsFromTiming(
-      step_, timing.StepSeconds() + fault_report.recovery_seconds,
-      timing.a2a_seconds, timing.compute_seconds, timing.sync_seconds,
-      timing.non_moe_seconds + timing.dp_sync_seconds,
-      timing.per_gpu_expert_compute, balance_sum / num_layers, token_eff,
-      total, dropped, elastic_.active() ? elastic_.health().num_alive() : 0);
+  StepMetrics metrics;
+  metrics.step = step_;
+  metrics.balance_ratio = balance_sum / num_layers;
+  metrics.tokens_total = total;
+  metrics.tokens_dropped = dropped;
   metrics.tokens_recirculated = recirculated;
+  MetricsFromTiming(timing, fault_report.recovery_seconds, reassigned,
+                    elastic_.active() ? elastic_.health().num_alive() : 0,
+                    &metrics);
   FillFaultMetrics(elastic_, fault_report, {&placement_}, &metrics);
   RecordStepObservability(obs_, serving, metrics);
   ++step_;

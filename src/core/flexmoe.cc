@@ -271,34 +271,11 @@ StepMetrics FlexMoESystem::RunStepImpl(
       serving ? step_executor_.ExecuteForward(work)
               : step_executor_.ExecuteStep(work, &group_cache_);
 
-  metrics.step_seconds = timing.StepSeconds() + blocking;
-  metrics.a2a_seconds = timing.a2a_seconds;
-  metrics.compute_seconds = timing.compute_seconds;
-  metrics.sync_seconds = timing.sync_seconds;
-  metrics.non_moe_seconds = timing.non_moe_seconds + timing.dp_sync_seconds;
   // FlexMoE never drops tokens by capacity; the only losses are tokens
   // resident on a device at the instant it fail-stopped.
-  metrics.token_efficiency =
-      metrics.tokens_total > 0
-          ? static_cast<double>(metrics.tokens_total - metrics.tokens_dropped) /
-                static_cast<double>(metrics.tokens_total)
-          : 1.0;
-
-  // Efficiency metrics from the engine's per-GPU expert-compute time.
-  const auto& pc = timing.per_gpu_expert_compute;
-  const double max_c = *std::max_element(pc.begin(), pc.end());
-  double mean_c = 0.0;
-  for (double v : pc) mean_c += v;
-  // Efficiency is relative to the devices that exist: departed GPUs are
-  // lost capacity, not inefficiency.
-  mean_c /= static_cast<double>(
-      elastic_.active() ? elastic_.health().num_alive()
-                        : static_cast<int>(pc.size()));
-  metrics.expert_efficiency = max_c > 0.0 ? mean_c / max_c : 1.0;
-  metrics.gpu_utilization =
-      metrics.step_seconds > 0.0
-          ? (mean_c + timing.non_moe_seconds) / metrics.step_seconds
-          : 0.0;
+  MetricsFromTiming(timing, blocking, /*tokens_reassigned=*/0,
+                    elastic_.active() ? elastic_.health().num_alive() : 0,
+                    &metrics);
 
   // 4. Scheduler: monitor this step's workloads, plan modifications on the
   //    target placements, enqueue them for best-effort execution. Planning

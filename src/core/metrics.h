@@ -23,6 +23,7 @@ struct StepMetrics {
   double a2a_seconds = 0.0;
   double compute_seconds = 0.0;
   double sync_seconds = 0.0;
+  /// Non-MoE compute plus the data-parallel AllReduce of its gradients.
   double non_moe_seconds = 0.0;
   double adjust_block_seconds = 0.0;  ///< blocking adjustments only
 
@@ -36,7 +37,8 @@ struct StepMetrics {
   /// divided by the max (1.0 = perfectly even expert work).
   double expert_efficiency = 1.0;
 
-  /// Expert-compute busy time / (GPUs x step time), Fig. 2's utilization.
+  /// Fig. 2's utilization: the share of the step the average GPU computes
+  /// (defined once, at MetricsFromTiming in core/step_accounting.h).
   double gpu_utilization = 0.0;
 
   int64_t tokens_total = 0;    ///< token-assignments this step
@@ -59,21 +61,6 @@ struct StepMetrics {
   /// True when some expert had no replica on a live device this step.
   bool degraded = false;
 };
-
-/// \brief Fills the timing/efficiency fields of a StepMetrics from an
-/// executed step (shared by FlexMoE and all baseline systems).
-/// `per_gpu_expert_compute` drives expert efficiency and GPU utilization;
-/// `non_moe_seconds` counts toward utilization as useful work.
-/// `num_alive_gpus` (0 = all) is the efficiency denominator, so a
-/// rebalanced degraded cluster can still read as 100% efficient —
-/// departed devices are lost capacity, not inefficiency.
-StepMetrics MetricsFromTiming(int64_t step, double step_seconds,
-                              double a2a_seconds, double compute_seconds,
-                              double sync_seconds, double non_moe_seconds,
-                              const std::vector<double>& per_gpu_expert_compute,
-                              double balance_ratio, double token_efficiency,
-                              int64_t tokens_total, int64_t tokens_dropped,
-                              int num_alive_gpus = 0);
 
 /// \brief Accumulates StepMetrics over a run.
 class TrainingStats {

@@ -4,6 +4,38 @@
 
 namespace flexmoe {
 
+void MetricsFromTiming(const StepTiming& timing, double blocked_seconds,
+                       int64_t tokens_reassigned, int num_alive_gpus,
+                       StepMetrics* metrics) {
+  metrics->step_seconds = timing.StepSeconds() + blocked_seconds;
+  metrics->a2a_seconds = timing.a2a_seconds;
+  metrics->compute_seconds = timing.compute_seconds;
+  metrics->sync_seconds = timing.sync_seconds;
+  metrics->non_moe_seconds = timing.non_moe_seconds + timing.dp_sync_seconds;
+  const int64_t total = metrics->tokens_total;
+  metrics->token_efficiency =
+      total > 0 ? static_cast<double>(total - metrics->tokens_dropped -
+                                      tokens_reassigned) /
+                      static_cast<double>(total)
+                : 1.0;
+
+  double max_c = 0.0, mean_c = 0.0;
+  for (double v : timing.per_gpu_expert_compute) {
+    max_c = v > max_c ? v : max_c;
+    mean_c += v;
+  }
+  const int denom =
+      num_alive_gpus > 0
+          ? num_alive_gpus
+          : static_cast<int>(timing.per_gpu_expert_compute.size());
+  if (denom > 0) mean_c /= static_cast<double>(denom);
+  metrics->expert_efficiency = max_c > 0.0 ? mean_c / max_c : 1.0;
+  metrics->gpu_utilization =
+      metrics->step_seconds > 0.0
+          ? (mean_c + timing.non_moe_seconds) / metrics->step_seconds
+          : 0.0;
+}
+
 void FillFaultMetrics(const ElasticController& elastic,
                       const ElasticController::StepReport& report,
                       const std::vector<Placement*>& placements,

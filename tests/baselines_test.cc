@@ -249,6 +249,27 @@ TEST(BaselineComparisonTest, EfficiencyQuadrantsOfFigure7a) {
   EXPECT_GT(sw_exp, ds_exp);       // SWIPE balances better than DeepSpeed
 }
 
+// gpu_utilization is the share of the step the average GPU spends
+// computing (expert + non-MoE compute): on a system's first step that is
+// exactly its compute streams' busy share, ClusterState::ComputeUtilization.
+// Communication — including the data-parallel AllReduce every system pays
+// — is not useful work, for FlexMoE and the baselines alike.
+TEST(GpuUtilizationTest, IsTheComputeStreamShareForAllFourSystems) {
+  for (const char* system : {"flexmoe", "deepspeed", "swipe", "fastermoe"}) {
+    const TestEnv env = TestEnv::Make();
+    ExperimentOptions o;
+    o.system = system;
+    o.model = SmallModel();
+    o.num_gpus = 8;
+    auto sys = *BuildSystem(o, env.topo.get(), &env.profile);
+    const StepMetrics m = sys->RunStep(SkewedStep(o.model, 8));
+    ASSERT_GT(m.step_seconds, 0.0) << system;
+    EXPECT_NEAR(m.gpu_utilization,
+                sys->cluster().ComputeUtilization(m.step_seconds), 1e-12)
+        << system;
+  }
+}
+
 // ---- Per-step pin of the static systems -----------------------------------
 //
 // Every StepMetrics field except gpu_utilization (plus FasterMoE's shadow
