@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "gate/gate.h"
@@ -208,6 +210,105 @@ TEST(GateSamplerEquivalenceTest, TraceGeneratorLegacyGateByteIdentical) {
       EXPECT_TRUE(Identical(a[l], b[l])) << "step " << s << " layer " << l;
     }
   }
+}
+
+// Fingerprints of the gate's sampled streams: the counts of every
+// Assignment plus the RNG word that follows, so a change in either the
+// draws or their number shows. The digests were captured from the gate
+// that still carried the pre-optimization sampler and its per-token
+// Gumbel fallback for top_k > 8; a change that claims identical gate
+// output must never need to edit these case bodies.
+
+/// FNV-1a over the raw bytes of each folded value.
+class Fnv {
+ public:
+  template <typename T>
+  void Add(T v) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    for (unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 1099511628211ull;
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+void FoldAssignment(const Assignment& a, Fnv* h) {
+  h->Add(a.num_experts());
+  h->Add(a.num_gpus());
+  for (int e = 0; e < a.num_experts(); ++e) {
+    for (int g = 0; g < a.num_gpus(); ++g) h->Add(a.at(e, g));
+  }
+}
+
+/// Digest of one Sample() per seed, each followed by the next raw draw.
+uint64_t SampleDigest(const TopKGateOptions& o, uint64_t logit_seed,
+                      uint64_t seed) {
+  const auto logits = SkewedLogits(o.num_gpus, o.num_experts, logit_seed);
+  const TopKGate gate = *TopKGate::Create(o);
+  Rng r(seed);
+  Fnv h;
+  FoldAssignment(gate.Sample(logits, &r), &h);
+  h.Add(r.Next());
+  return h.hash();
+}
+
+TEST(GateSamplerPinTest, MultinomialSeedsOneToFive) {
+  TopKGateOptions o;
+  o.num_experts = 16;
+  o.num_gpus = 4;
+  o.top_k = 2;
+  o.tokens_per_gpu = 20000;
+  const uint64_t expected[5] = {0x550e8c205dd2689aull, 0x88a43be8f02edb9dull,
+                                0x051c3969422679b6ull, 0x04f6e1ce8ee32f45ull,
+                                0xc1d071bd85228e4aull};
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    EXPECT_EQ(SampleDigest(o, 11, seed), expected[seed - 1])
+        << "seed " << seed << " got 0x" << std::hex
+        << SampleDigest(o, 11, seed);
+  }
+}
+
+TEST(GateSamplerPinTest, ExactTopKTwoFourAndEight) {
+  TopKGateOptions o;
+  o.num_experts = 16;
+  o.num_gpus = 4;
+  o.tokens_per_gpu = 512;
+  o.exact_sampling = true;
+  const int top_ks[3] = {2, 4, 8};
+  // Indexed [top_k][seed - 1].
+  const uint64_t expected[3][3] = {
+      {0x98809c15756fe4ccull, 0x858c154a772aff1aull, 0x006f9039089b1f3bull},
+      {0x50d20074dafb8b1dull, 0x57af808ad1366e7full, 0x462c610076bf93bbull},
+      {0xc7707073ad0a8a5aull, 0x019c59f2715d1443ull, 0x664cdc29f7c44065ull}};
+  for (int i = 0; i < 3; ++i) {
+    o.top_k = top_ks[i];
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      EXPECT_EQ(SampleDigest(o, 12, seed), expected[i][seed - 1])
+          << "top_k " << o.top_k << " seed " << seed << " got 0x" << std::hex
+          << SampleDigest(o, 12, seed);
+    }
+  }
+}
+
+TEST(GateSamplerPinTest, TraceGeneratorTenSteps) {
+  TraceGeneratorOptions t;
+  t.num_experts = 32;
+  t.num_moe_layers = 2;
+  t.num_gpus = 8;
+  t.tokens_per_gpu = 2048;
+  t.balance_coef = 0.001;
+  t.seed = 21;
+  TraceGenerator gen = *TraceGenerator::Create(t);
+  Fnv h;
+  for (int s = 0; s < 10; ++s) {
+    for (const Assignment& a : gen.Step()) FoldAssignment(a, &h);
+  }
+  EXPECT_EQ(h.hash(), 0xc1dd1d74481737f5ull)
+      << "got 0x" << std::hex << h.hash();
 }
 
 TEST(GateSamplerEquivalenceTest, SoftmaxIntoMatchesVectorSoftmax) {
