@@ -3,7 +3,6 @@
 // Common flags:
 //   --quick          smoke-test scale (fewer steps; noisier numbers)
 //   --threads N      grid-runner worker count (default: hardware)
-//   --legacy-gate    route sampling through the pre-optimization gate
 //   --workload NAME  workload scenario from the catalog (default:
 //                    pretrain-steady; see gate/logit_process.h)
 //   --size-mix NAME  serving request-size mix: fixed | heavy | both
@@ -57,11 +56,6 @@ inline int GridThreads(int argc, char** argv) {
   return std::atoi(FlagValue(argc, argv, "--threads", "0"));
 }
 
-/// True if "--legacy-gate" was passed: run the pre-optimization sampler.
-inline bool LegacyGate(int argc, char** argv) {
-  return HasFlag(argc, argv, "--legacy-gate");
-}
-
 /// Workload scenario name: "--workload NAME", default pretrain-steady.
 inline const char* WorkloadName(int argc, char** argv) {
   return FlagValue(argc, argv, "--workload", "pretrain-steady");
@@ -87,7 +81,6 @@ inline int PipelineChunks(int argc, char** argv) {
 struct CommonFlags {
   bool quick = false;
   int threads = 0;       ///< grid-runner workers; 0 = hardware
-  bool legacy_gate = false;
   const char* workload = "pretrain-steady";
   const char* size_mix = "both";  ///< serving benches only
   const char* admission = "edf";  ///< serving benches only
@@ -109,7 +102,6 @@ inline CommonFlags ParseCommonFlags(int argc, char** argv) {
   CommonFlags flags;
   flags.quick = QuickMode(argc, argv);
   flags.threads = GridThreads(argc, argv);
-  flags.legacy_gate = LegacyGate(argc, argv);
   flags.workload = WorkloadName(argc, argv);
   flags.size_mix = SizeMixName(argc, argv);
   flags.admission = AdmissionPolicy(argc, argv);

@@ -14,10 +14,8 @@
 // --extra records externally measured numbers (e.g. the figure benches'
 // wall-clock vs the previous PR's binary) into the same JSON.
 //
-// Headline metrics: gate tokens/sec (exact + multinomial, optimized AND
-// legacy sampler, so the JSON carries the speedup the flat-buffer rewrite
-// bought), trace steps/sec, and end-to-end experiment cells/sec through
-// RunExperimentGrid.
+// Headline metrics: gate tokens/sec (exact + multinomial), trace
+// steps/sec, and end-to-end experiment cells/sec through RunExperimentGrid.
 
 #include <algorithm>
 #include <chrono>
@@ -73,25 +71,23 @@ double Throughput(double min_seconds, double units_per_iter, Fn&& body) {
   return units_per_iter * static_cast<double>(iters) / elapsed;
 }
 
-TraceGeneratorOptions GateTraceOptions(bool exact, bool legacy,
-                                       int64_t tokens_per_gpu) {
+TraceGeneratorOptions GateTraceOptions(bool exact, int64_t tokens_per_gpu) {
   TraceGeneratorOptions t;
   t.num_experts = 64;
   t.num_moe_layers = 1;
   t.num_gpus = 8;
   t.tokens_per_gpu = tokens_per_gpu;
   t.exact_sampling = exact;
-  t.legacy_gate = legacy;
   t.seed = 7;
   return t;
 }
 
 /// Tokens/sec of the gate sampler (trace generator with one layer; the
 /// gate dominates its cost at these sizes).
-double GateTokensPerSec(bool exact, bool legacy, bool quick) {
+double GateTokensPerSec(bool exact, bool quick) {
   const int64_t tokens_per_gpu = exact ? (quick ? 1024 : 4096) : 8192;
   TraceGenerator gen =
-      *TraceGenerator::Create(GateTraceOptions(exact, legacy, tokens_per_gpu));
+      *TraceGenerator::Create(GateTraceOptions(exact, tokens_per_gpu));
   const double tokens_per_step =
       static_cast<double>(tokens_per_gpu) * gen.options().num_gpus;
   const double budget = quick ? 0.3 : 1.0;
@@ -237,17 +233,10 @@ int Run(bool quick, int threads, bool large_ep,
     std::printf("%-40s %14.4g %s\n", name.c_str(), value, unit.c_str());
   };
 
-  // --- Gate sampling (optimized vs legacy) -------------------------------
-  const double exact_fast = GateTokensPerSec(true, false, quick);
-  const double exact_legacy = GateTokensPerSec(true, true, quick);
-  add("gate_exact_tokens_per_sec", exact_fast, "tokens/s");
-  add("gate_exact_legacy_tokens_per_sec", exact_legacy, "tokens/s");
-  add("gate_exact_speedup_vs_legacy", exact_fast / exact_legacy, "x");
-  const double multi_fast = GateTokensPerSec(false, false, quick);
-  const double multi_legacy = GateTokensPerSec(false, true, quick);
-  add("gate_multinomial_tokens_per_sec", multi_fast, "tokens/s");
-  add("gate_multinomial_legacy_tokens_per_sec", multi_legacy, "tokens/s");
-  add("gate_multinomial_speedup_vs_legacy", multi_fast / multi_legacy, "x");
+  // --- Gate sampling ----------------------------------------------------
+  add("gate_exact_tokens_per_sec", GateTokensPerSec(true, quick), "tokens/s");
+  add("gate_multinomial_tokens_per_sec", GateTokensPerSec(false, quick),
+      "tokens/s");
 
   // --- Trace generation --------------------------------------------------
   add("trace_steps_per_sec", TraceStepsPerSec(quick), "steps/s");

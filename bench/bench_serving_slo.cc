@@ -18,7 +18,7 @@
 //    regimes. Every cell also audits the admission ledger: arrived ==
 //    completed + shed + queued, i.e. nothing is silently dropped.
 //
-// Flags (bench_common.h): --quick --threads N --legacy-gate
+// Flags (bench_common.h): --quick --threads N --pipeline-chunks K
 //   --workload NAME   run only one scenario
 //   --size-mix NAME   fixed | heavy | both (default both)
 //   --admission P     edf | sjf for the heavy suite (default edf)
@@ -94,7 +94,6 @@ int RunSuite(const std::vector<std::string>& scenarios, bool heavy,
                              scenario.c_str(), system);
       cell.options =
           ServingCell(scenario, system, heavy, flags.admission, flags.quick);
-      cell.options.legacy_gate = flags.legacy_gate;
       cell.options.pipeline_chunks = flags.pipeline_chunks;
       cells.push_back(std::move(cell));
     }
@@ -181,7 +180,6 @@ int RunTracedHeadline(const bench::CommonFlags& flags) {
   ExperimentOptions o = ServingCell("multi-tenant", "flexmoe",
                                     /*heavy=*/false, flags.admission,
                                     flags.quick);
-  o.legacy_gate = flags.legacy_gate;
   o.pipeline_chunks = flags.pipeline_chunks;
   o.observability.enabled = true;
   o.observability.trace_out = flags.trace_out;

@@ -6,7 +6,7 @@
 // balance against the imbalance-visible baselines) per scenario and exits
 // non-zero if any regime breaks it.
 //
-// Flags (bench_common.h): --quick --threads N --legacy-gate
+// Flags (bench_common.h): --quick --threads N --pipeline-chunks K
 //   --workload NAME   run only one scenario
 //   --digests PATH    write per-cell metrics digests (golden record mode)
 
@@ -53,7 +53,6 @@ int Run(int argc, char** argv) {
   const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
   const bool quick = flags.quick;
   const int threads = flags.threads;
-  const bool legacy_gate = flags.legacy_gate;
   // Unlike the figure benches, an absent --workload means "all scenarios".
   const char* only = bench::FlagValue(argc, argv, "--workload", "");
   const char* digests_path = bench::FlagValue(argc, argv, "--digests", "");
@@ -76,7 +75,6 @@ int Run(int argc, char** argv) {
       GridCell cell;
       cell.label = StrFormat("%s/%s", scenario.c_str(), system);
       cell.options = SuiteCell(scenario, system, quick);
-      cell.options.legacy_gate = legacy_gate;
       cell.options.pipeline_chunks = flags.pipeline_chunks;
       cells.push_back(std::move(cell));
     }
@@ -140,7 +138,6 @@ int Run(int argc, char** argv) {
                        ? StrFormat("%s/flexmoe/K=auto", scenario.c_str())
                        : StrFormat("%s/flexmoe/K=%d", scenario.c_str(), depth);
       cell.options = SuiteCell(scenario, "flexmoe", quick);
-      cell.options.legacy_gate = legacy_gate;
       cell.options.pipeline_chunks = depth;
       autok_cells.push_back(std::move(cell));
     }

@@ -5,12 +5,6 @@
 
 namespace flexmoe {
 
-namespace {
-/// Largest top_k served by the alias-table exact sampler's fixed-size
-/// chosen-set array; beyond it the legacy Gumbel sweep is used.
-constexpr int kMaxFastTopK = 8;
-}  // namespace
-
 void SoftmaxInto(const double* logits, int n, double* out) {
   FLEXMOE_CHECK(n > 0);
   double m = logits[0];
@@ -21,7 +15,7 @@ void SoftmaxInto(const double* logits, int n, double* out) {
     total += out[i];
   }
   // Division (not reciprocal-multiply): keeps results bit-identical to the
-  // pre-optimization softmax, which the --legacy-gate contract relies on.
+  // vector Softmax and to every pinned gate stream.
   for (int i = 0; i < n; ++i) out[i] /= total;
 }
 
@@ -52,7 +46,8 @@ TopKGate::TopKGate(const TopKGateOptions& options)
       alias_prob_scratch_(static_cast<size_t>(options.num_experts)),
       alias_idx_scratch_(static_cast<size_t>(options.num_experts)),
       alias_work_scratch_(static_cast<size_t>(options.num_experts)),
-      alias_work2_scratch_(static_cast<size_t>(options.num_experts)) {}
+      alias_work2_scratch_(static_cast<size_t>(options.num_experts)),
+      chosen_scratch_(static_cast<size_t>(options.top_k)) {}
 
 Result<TopKGate> TopKGate::Create(const TopKGateOptions& options) {
   FLEXMOE_RETURN_IF_ERROR(options.Validate());
@@ -64,24 +59,10 @@ Assignment TopKGate::Sample(const Matrix<double>& gpu_logits,
   FLEXMOE_CHECK(gpu_logits.rows() == options_.num_gpus);
   FLEXMOE_CHECK(gpu_logits.cols() == options_.num_experts);
   Assignment out(options_.num_experts, options_.num_gpus);
-  // The alias-table exact path tracks chosen experts in a fixed-size
-  // array; larger top_k (never used — the paper is Top-2 throughout)
-  // falls back to the legacy per-token Gumbel sweep.
-  const bool legacy_exact =
-      options_.legacy_sampling || options_.top_k > kMaxFastTopK;
   for (int g = 0; g < options_.num_gpus; ++g) {
     const double* logits = gpu_logits.row(g);
     if (options_.exact_sampling) {
-      if (legacy_exact) {
-        const std::vector<double> copy(logits,
-                                       logits + options_.num_experts);
-        SampleExactLegacy(copy, g, rng, &out);
-      } else {
-        SampleExact(logits, g, rng, &out);
-      }
-    } else if (options_.legacy_sampling) {
-      const std::vector<double> copy(logits, logits + options_.num_experts);
-      SampleMultinomialLegacy(Softmax(copy), g, rng, &out);
+      SampleExact(logits, g, rng, &out);
     } else {
       SoftmaxInto(logits, options_.num_experts, probs_scratch_.data());
       SampleMultinomial(probs_scratch_.data(), g, rng, &out);
@@ -126,29 +107,6 @@ void SecondChoiceMarginalInto(const double* probs, int n, double* out) {
   for (int e = 0; e < n; ++e) out[e] /= total;
 }
 
-/// Conditional-binomial multinomial into a caller-provided buffer. Consumes
-/// the RNG stream exactly like Rng::Multinomial (the regression tests pin
-/// the optimized gate byte-identical to the legacy sampler).
-void MultinomialInto(Rng* rng, int64_t n, const double* probs, int k,
-                     int64_t* counts) {
-  double remaining_mass = 0.0;
-  for (int i = 0; i < k; ++i) {
-    FLEXMOE_CHECK(probs[i] >= 0.0);
-    remaining_mass += probs[i];
-  }
-  std::fill(counts, counts + k, 0);
-  int64_t remaining = n;
-  for (int i = 0; i + 1 < k && remaining > 0; ++i) {
-    if (remaining_mass <= 0.0) break;
-    const double p = std::min(1.0, probs[i] / remaining_mass);
-    const int64_t c = rng->Binomial(remaining, p);
-    counts[i] = c;
-    remaining -= c;
-    remaining_mass -= probs[i];
-  }
-  if (k > 0) counts[k - 1] += remaining;
-}
-
 }  // namespace
 
 void TopKGate::SampleMultinomial(const double* probs, int gpu, Rng* rng,
@@ -160,8 +118,8 @@ void TopKGate::SampleMultinomial(const double* probs, int gpu, Rng* rng,
   const int n = options_.num_experts;
   const double* current = probs;
   for (int round = 0; round < options_.top_k; ++round) {
-    MultinomialInto(rng, options_.tokens_per_gpu, current, n,
-                    counts_scratch_.data());
+    rng->MultinomialInto(options_.tokens_per_gpu, current, n,
+                         counts_scratch_.data());
     for (int e = 0; e < n; ++e) {
       const int64_t c = counts_scratch_[static_cast<size_t>(e)];
       if (c > 0) out->add(e, gpu, c);
@@ -180,9 +138,8 @@ void TopKGate::SampleExact(const double* logits, int gpu, Rng* rng,
   // sequential sampling (draw from softmax(p), remove, repeat), so each
   // token costs k alias-table draws (plus rejection of already-chosen
   // experts) instead of E Gumbel perturbations + a partial sort. The
-  // distribution is exact — gate_sampler_test.cc chi-squares it against
-  // the legacy Gumbel implementation — but the RNG stream differs;
-  // `legacy_sampling` preserves the original draws byte-for-byte.
+  // distribution is exact for every k — gate_sampler_test.cc chi-squares
+  // it against the closed-form top-2 marginal.
   const int k = options_.top_k;
   const int n = options_.num_experts;
   double* probs = probs_scratch_.data();
@@ -220,7 +177,7 @@ void TopKGate::SampleExact(const double* logits, int gpu, Rng* rng,
 
   int64_t* counts = counts_scratch_.data();
   std::fill(counts, counts + n, 0);
-  int chosen[kMaxFastTopK];
+  int* chosen = chosen_scratch_.data();
   for (int64_t t = 0; t < options_.tokens_per_gpu; ++t) {
     int picked = 0;
     while (picked < k) {
@@ -260,48 +217,6 @@ void TopKGate::SampleExact(const double* logits, int gpu, Rng* rng,
   // One Assignment update per expert instead of one per token-choice.
   for (int e = 0; e < n; ++e) {
     if (counts[e] > 0) out->add(e, gpu, counts[e]);
-  }
-}
-
-void TopKGate::SampleMultinomialLegacy(const std::vector<double>& probs,
-                                       int gpu, Rng* rng,
-                                       Assignment* out) const {
-  // The pre-optimization sampler, verbatim: per-round vector allocations
-  // via Rng::Multinomial and full-vector copies of the round distribution.
-  std::vector<double> current = probs;
-  for (int round = 0; round < options_.top_k; ++round) {
-    const std::vector<int64_t> counts =
-        rng->Multinomial(options_.tokens_per_gpu, current);
-    for (int e = 0; e < options_.num_experts; ++e) {
-      out->add(e, gpu, counts[static_cast<size_t>(e)]);
-    }
-    if (round == 0 && options_.top_k > 1) {
-      std::vector<double> second(probs.size());
-      SecondChoiceMarginalInto(probs.data(),
-                               static_cast<int>(probs.size()), second.data());
-      current = std::move(second);
-    }
-  }
-}
-
-void TopKGate::SampleExactLegacy(const std::vector<double>& logits, int gpu,
-                                 Rng* rng, Assignment* out) const {
-  const int k = options_.top_k;
-  std::vector<double> perturbed(logits.size());
-  std::vector<int> order(logits.size());
-  for (int64_t t = 0; t < options_.tokens_per_gpu; ++t) {
-    for (size_t e = 0; e < logits.size(); ++e) {
-      perturbed[e] = logits[e] + rng->Gumbel();
-    }
-    // Partial selection of the k largest perturbed logits: the Gumbel-max
-    // trick makes this an exact sample of without-replacement top-k.
-    for (size_t e = 0; e < order.size(); ++e) order[e] = static_cast<int>(e);
-    std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                      [&](int a, int b) {
-                        return perturbed[static_cast<size_t>(a)] >
-                               perturbed[static_cast<size_t>(b)];
-                      });
-    for (int i = 0; i < k; ++i) out->add(order[static_cast<size_t>(i)], gpu, 1);
   }
 }
 

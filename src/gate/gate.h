@@ -1,8 +1,8 @@
 // Top-K gate simulation: converts per-GPU expert logits into the routing
 // count matrix I[e][g]. Two sampling modes:
 //  * count-level multinomial (fast; used for full training runs), and
-//  * exact per-token Gumbel top-k (slow; used by tests to validate the
-//    multinomial approximation).
+//  * exact per-token without-replacement top-k (slower; used by tests to
+//    validate the multinomial approximation).
 //
 // The MoE system never inspects token values — only routing counts — so a
 // count-accurate gate exercises exactly the code paths the paper's system
@@ -11,12 +11,9 @@
 // Sampling is allocation-free per call: the gate owns scratch buffers that
 // are reused across Sample() invocations. A TopKGate instance is therefore
 // NOT safe for concurrent Sample() calls — give each thread (each grid
-// cell) its own gate, as the experiment harness does. The pre-optimization
-// sampler is preserved behind TopKGateOptions::legacy_sampling (the
-// `--legacy-gate` bench flag). The optimized multinomial path is
-// byte-identical to it (same RNG consumption); the optimized exact path
-// (alias-table Plackett-Luce sequential sampling) is distribution-exact
-// but consumes a different RNG stream — gate_sampler_test.cc pins both.
+// cell) its own gate, as the experiment harness does. Each mode has one
+// sampler; gate_sampler_test.cc pins both streams by fingerprint and
+// chi-squares them against the closed-form top-2 marginal.
 
 #ifndef FLEXMOE_GATE_GATE_H_
 #define FLEXMOE_GATE_GATE_H_
@@ -43,11 +40,8 @@ struct TopKGateOptions {
   int num_gpus = 64;
   int top_k = 2;
   int64_t tokens_per_gpu = 8192;
-  /// Exact per-token Gumbel sampling instead of multinomial counts.
+  /// Exact per-token top-k sampling instead of multinomial counts.
   bool exact_sampling = false;
-  /// Route through the pre-optimization sampler (byte-identical reference
-  /// implementation; used by `--legacy-gate` and the regression tests).
-  bool legacy_sampling = false;
 
   Status Validate() const;
 };
@@ -73,18 +67,14 @@ class TopKGate {
 
   void SampleMultinomial(const double* probs, int gpu, Rng* rng,
                          Assignment* out) const;
-  void SampleMultinomialLegacy(const std::vector<double>& probs, int gpu,
-                               Rng* rng, Assignment* out) const;
   void SampleExact(const double* logits, int gpu, Rng* rng,
                    Assignment* out) const;
-  void SampleExactLegacy(const std::vector<double>& logits, int gpu, Rng* rng,
-                         Assignment* out) const;
 
   TopKGateOptions options_;
 
   // Per-call scratch (see header comment: one gate per thread). Sized once
-  // at construction to num_experts; mutable because Sample() is logically
-  // const.
+  // at construction (to num_experts, or top_k for the chosen set); mutable
+  // because Sample() is logically const.
   mutable std::vector<double> probs_scratch_;
   mutable std::vector<double> round_scratch_;
   mutable std::vector<int64_t> counts_scratch_;
@@ -93,6 +83,8 @@ class TopKGate {
   mutable std::vector<int> alias_idx_scratch_;
   mutable std::vector<int> alias_work_scratch_;
   mutable std::vector<int> alias_work2_scratch_;
+  // The experts one token has already picked (exact sampler).
+  mutable std::vector<int> chosen_scratch_;
 };
 
 }  // namespace flexmoe

@@ -41,9 +41,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Standard Gumbel(0, 1) variate; used for Gumbel-top-k routing draws.
-  double Gumbel();
-
   /// Poisson variate (Knuth for small lambda, normal approx for large).
   int64_t Poisson(double lambda);
 
@@ -51,9 +48,10 @@ class Rng {
   /// approximation beyond; adequate for workload synthesis).
   int64_t Binomial(int64_t n, double p);
 
-  /// Multinomial counts: distributes `n` trials over `probs` (need not be
-  /// normalized). Uses the conditional-binomial method: O(k) per call.
-  std::vector<int64_t> Multinomial(int64_t n, const std::vector<double>& probs);
+  /// Multinomial counts: distributes `n` trials over the `k` weights
+  /// `probs` (need not be normalized) into `counts` (size k, overwritten).
+  /// Conditional-binomial method: O(k) per call, allocation-free.
+  void MultinomialInto(int64_t n, const double* probs, int k, int64_t* counts);
 
   /// Samples an index from an unnormalized weight vector.
   size_t Categorical(const std::vector<double>& weights);

@@ -1,17 +1,15 @@
-// Tests pinning the optimized (allocation-free) gate samplers to the
-// legacy reference implementations preserved behind
-// TopKGateOptions::legacy_sampling / TraceGeneratorOptions::legacy_gate:
+// Tests of the gate's two samplers (count-level multinomial and exact
+// per-token top-k):
 //
-//  * the multinomial path must be BYTE-IDENTICAL to the legacy sampler
-//    (same RNG consumption, same counts), so `--legacy-gate` and default
-//    single-threaded runs reproduce pre-optimization outputs exactly;
-//  * the alias-table exact path is a different (O(k)-per-token) sampler of
-//    the SAME distribution as the legacy Gumbel top-k sweep: chi-squared
-//    equivalence on skewed logits, token conservation, per-token top-k
-//    validity, and seeded determinism.
+//  * both streams are pinned by fingerprint (GateSamplerPinTest), so a
+//    change in the draws or in how many the gate consumes shows;
+//  * both match the closed-form top-2 marginal on skewed logits
+//    (chi-squared), and the exact sampler conserves tokens, never picks an
+//    expert twice for one token at any top_k, and is seeded-deterministic.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -36,14 +34,13 @@ std::vector<std::vector<double>> SkewedLogits(int gpus, int experts,
   return logits;
 }
 
-TopKGateOptions BaseOptions(bool exact, bool legacy) {
+TopKGateOptions BaseOptions(bool exact) {
   TopKGateOptions o;
   o.num_experts = 16;
   o.num_gpus = 4;
   o.top_k = 2;
   o.tokens_per_gpu = exact ? 2048 : 20000;
   o.exact_sampling = exact;
-  o.legacy_sampling = legacy;
   return o;
 }
 
@@ -59,23 +56,9 @@ bool Identical(const Assignment& a, const Assignment& b) {
   return true;
 }
 
-TEST(GateSamplerEquivalenceTest, MultinomialByteIdenticalToLegacy) {
-  const auto logits = SkewedLogits(4, 16, 11);
-  const TopKGate fast = *TopKGate::Create(BaseOptions(false, false));
-  const TopKGate legacy = *TopKGate::Create(BaseOptions(false, true));
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng r1(seed), r2(seed);
-    const Assignment a = fast.Sample(logits, &r1);
-    const Assignment b = legacy.Sample(logits, &r2);
-    EXPECT_TRUE(Identical(a, b)) << "seed " << seed;
-    // Same RNG consumption: the streams stay aligned after sampling.
-    EXPECT_EQ(r1.Next(), r2.Next()) << "seed " << seed;
-  }
-}
-
 TEST(GateSamplerEquivalenceTest, ExactConservesAndIsDeterministic) {
   const auto logits = SkewedLogits(4, 16, 12);
-  const TopKGate fast = *TopKGate::Create(BaseOptions(true, false));
+  const TopKGate fast = *TopKGate::Create(BaseOptions(true));
   Rng r1(7), r2(7);
   const Assignment a = fast.Sample(logits, &r1);
   const Assignment b = fast.Sample(logits, &r2);
@@ -86,7 +69,7 @@ TEST(GateSamplerEquivalenceTest, ExactConservesAndIsDeterministic) {
 }
 
 TEST(GateSamplerEquivalenceTest, ExactTopKLargerThanTwoConserves) {
-  TopKGateOptions o = BaseOptions(true, false);
+  TopKGateOptions o = BaseOptions(true);
   o.top_k = 4;
   o.tokens_per_gpu = 512;
   const auto logits = SkewedLogits(4, 16, 13);
@@ -98,118 +81,86 @@ TEST(GateSamplerEquivalenceTest, ExactTopKLargerThanTwoConserves) {
 TEST(GateSamplerEquivalenceTest, ExactNeverPicksSameExpertTwicePerToken) {
   // With top_k == num_experts every token must pick every expert exactly
   // once — any duplicate pick in the sequential sampler would break this.
-  TopKGateOptions o;
-  o.num_experts = 6;
-  o.num_gpus = 2;
-  o.top_k = 6;
-  o.tokens_per_gpu = 300;
-  o.exact_sampling = true;
-  const TopKGate gate = *TopKGate::Create(o);
-  const auto logits = SkewedLogits(2, 6, 17);
-  Rng r(5);
-  const Assignment a = gate.Sample(logits, &r);
-  for (int e = 0; e < 6; ++e) {
-    for (int g = 0; g < 2; ++g) EXPECT_EQ(a.at(e, g), 300) << e;
+  // 12 experts exercises a chosen set larger than 8.
+  for (const int experts : {6, 12}) {
+    TopKGateOptions o;
+    o.num_experts = experts;
+    o.num_gpus = 2;
+    o.top_k = experts;
+    o.tokens_per_gpu = 300;
+    o.exact_sampling = true;
+    const TopKGate gate = *TopKGate::Create(o);
+    const auto logits = SkewedLogits(2, experts, 17);
+    Rng r(5);
+    const Assignment a = gate.Sample(logits, &r);
+    for (int e = 0; e < experts; ++e) {
+      for (int g = 0; g < 2; ++g) {
+        EXPECT_EQ(a.at(e, g), 300) << "experts " << experts << " e " << e;
+      }
+    }
   }
 }
 
-// Chi-squared goodness-of-fit of the optimized sampler's expert totals
-// against the legacy sampler's empirical distribution (fresh seeds, so the
-// draws are independent). With 15 degrees of freedom, chi2 < 40 holds with
-// overwhelming probability for identical distributions (p ~ 4e-4 at 40).
-TEST(GateSamplerEquivalenceTest, MultinomialChiSquaredVsLegacy) {
-  const auto logits = SkewedLogits(1, 16, 14);
-  TopKGateOptions o = BaseOptions(false, false);
-  o.num_gpus = 1;
-  TopKGateOptions ol = o;
-  ol.legacy_sampling = true;
-  const TopKGate fast = *TopKGate::Create(o);
-  const TopKGate legacy = *TopKGate::Create(ol);
-
-  // Pool many legacy samples into the expected distribution.
-  std::vector<double> expected(16, 0.0);
-  double expected_total = 0.0;
-  for (uint64_t seed = 100; seed < 110; ++seed) {
-    Rng r(seed);
-    const Assignment a = legacy.Sample(logits, &r);
-    for (int e = 0; e < 16; ++e) {
-      expected[static_cast<size_t>(e)] += static_cast<double>(a.ExpertTotal(e));
-      expected_total += static_cast<double>(a.ExpertTotal(e));
-    }
+/// Expected top-2 expert totals for `tokens` tokens routed from one row of
+/// logits: T * (p_e + sum_{f != e} p_f * p_e / (1 - p_f)), the first-choice
+/// probability plus the without-replacement second-choice marginal.
+/// Computed here from the definition, independently of the gate.
+std::vector<double> TopTwoExpectedCounts(const std::vector<double>& logits,
+                                         double tokens) {
+  const size_t n = logits.size();
+  double max_logit = logits[0];
+  for (double z : logits) max_logit = std::max(max_logit, z);
+  std::vector<double> p(n);
+  double total = 0.0;
+  for (size_t e = 0; e < n; ++e) {
+    p[e] = std::exp(logits[e] - max_logit);
+    total += p[e];
   }
-  // One optimized sample with an unseen seed.
-  Rng r(999);
-  const Assignment got = fast.Sample(logits, &r);
-  const double got_total = static_cast<double>(got.Total());
+  for (double& x : p) x /= total;
+  std::vector<double> expected(n);
+  for (size_t e = 0; e < n; ++e) {
+    double second = 0.0;
+    for (size_t f = 0; f < n; ++f) {
+      if (f != e) second += p[f] * p[e] / (1.0 - p[f]);
+    }
+    expected[e] = tokens * (p[e] + second);
+  }
+  return expected;
+}
+
+/// Pearson chi-squared of a one-GPU sample's expert totals against the
+/// closed-form top-2 expectation.
+double TopTwoChiSquared(const TopKGateOptions& o,
+                        const std::vector<double>& logits, uint64_t seed) {
+  const TopKGate gate = *TopKGate::Create(o);
+  Rng r(seed);
+  const Assignment got = gate.Sample({logits}, &r);
+  const std::vector<double> expected =
+      TopTwoExpectedCounts(logits, static_cast<double>(o.tokens_per_gpu));
   double chi2 = 0.0;
-  for (int e = 0; e < 16; ++e) {
-    const double exp_count =
-        expected[static_cast<size_t>(e)] / expected_total * got_total;
+  for (int e = 0; e < o.num_experts; ++e) {
+    const double exp_count = expected[static_cast<size_t>(e)];
     if (exp_count < 1.0) continue;
     const double diff = static_cast<double>(got.ExpertTotal(e)) - exp_count;
     chi2 += diff * diff / exp_count;
   }
-  EXPECT_LT(chi2, 40.0);
+  return chi2;
 }
 
-TEST(GateSamplerEquivalenceTest, ExactChiSquaredVsLegacy) {
-  const auto logits = SkewedLogits(1, 16, 15);
-  TopKGateOptions o = BaseOptions(true, false);
+// Chi-squared goodness-of-fit of each sampler's expert totals against the
+// closed-form top-2 marginal. With 15 degrees of freedom, chi2 < 40 holds
+// with overwhelming probability for a correct sampler (p ~ 4e-4 at 40).
+TEST(GateSamplerEquivalenceTest, MultinomialChiSquaredVsClosedForm) {
+  TopKGateOptions o = BaseOptions(false);
+  o.num_gpus = 1;
+  EXPECT_LT(TopTwoChiSquared(o, SkewedLogits(1, 16, 14)[0], 999), 40.0);
+}
+
+TEST(GateSamplerEquivalenceTest, ExactChiSquaredVsClosedForm) {
+  TopKGateOptions o = BaseOptions(true);
   o.num_gpus = 1;
   o.tokens_per_gpu = 4096;
-  TopKGateOptions ol = o;
-  ol.legacy_sampling = true;
-  const TopKGate fast = *TopKGate::Create(o);
-  const TopKGate legacy = *TopKGate::Create(ol);
-
-  std::vector<double> expected(16, 0.0);
-  double expected_total = 0.0;
-  for (uint64_t seed = 200; seed < 206; ++seed) {
-    Rng r(seed);
-    const Assignment a = legacy.Sample(logits, &r);
-    for (int e = 0; e < 16; ++e) {
-      expected[static_cast<size_t>(e)] += static_cast<double>(a.ExpertTotal(e));
-      expected_total += static_cast<double>(a.ExpertTotal(e));
-    }
-  }
-  Rng r(888);
-  const Assignment got = fast.Sample(logits, &r);
-  const double got_total = static_cast<double>(got.Total());
-  double chi2 = 0.0;
-  for (int e = 0; e < 16; ++e) {
-    const double exp_count =
-        expected[static_cast<size_t>(e)] / expected_total * got_total;
-    if (exp_count < 1.0) continue;
-    const double diff = static_cast<double>(got.ExpertTotal(e)) - exp_count;
-    chi2 += diff * diff / exp_count;
-  }
-  EXPECT_LT(chi2, 40.0);
-}
-
-// End-to-end determinism: a full trace generator run with legacy_gate on
-// and off produces identical streams (the optimized sampler is a drop-in
-// replacement), and two identically-seeded generators replay exactly.
-TEST(GateSamplerEquivalenceTest, TraceGeneratorLegacyGateByteIdentical) {
-  TraceGeneratorOptions t;
-  t.num_experts = 32;
-  t.num_moe_layers = 2;
-  t.num_gpus = 8;
-  t.tokens_per_gpu = 2048;
-  t.balance_coef = 0.001;
-  t.seed = 21;
-  TraceGeneratorOptions tl = t;
-  tl.legacy_gate = true;
-
-  TraceGenerator fast = *TraceGenerator::Create(t);
-  TraceGenerator legacy = *TraceGenerator::Create(tl);
-  for (int s = 0; s < 10; ++s) {
-    const std::vector<Assignment> a = fast.Step();
-    const std::vector<Assignment> b = legacy.Step();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t l = 0; l < a.size(); ++l) {
-      EXPECT_TRUE(Identical(a[l], b[l])) << "step " << s << " layer " << l;
-    }
-  }
+  EXPECT_LT(TopTwoChiSquared(o, SkewedLogits(1, 16, 15)[0], 888), 40.0);
 }
 
 // Fingerprints of the gate's sampled streams: the counts of every
