@@ -10,7 +10,8 @@
 //  * FIXED sizes — the legacy single-size stream; the differential is SLO
 //    attainment (honest, arrived-denominated) and p99 where skew creates
 //    real queueing: in the bursty and multi-tenant regimes FlexMoE must
-//    attain STRICTLY more with no worse p99 than every static baseline.
+//    attain STRICTLY more with no worse p99 than every static baseline
+//    (against a baseline already at 100%, a strictly lower p99).
 //  * HEAVY sizes — the chat/batch-inference mix with deadline-aware
 //    shedding (ServingSizeMixCell): request sizes span the batch token
 //    cap, so admission chunks and sheds; the differential is GOODPUT
@@ -142,8 +143,19 @@ int RunSuite(const std::vector<std::string>& scenarios, bool heavy,
           ok = false;
         }
       } else {
-        if (flex.slo_attainment <= base.slo_attainment) ok = false;
-        if (flex.p99_latency_seconds > base.p99_latency_seconds) ok = false;
+        // Attainment strictly higher and p99 no worse; a baseline already
+        // at 100% cannot be out-attained, so there the tie breaks on a
+        // strictly lower p99.
+        const bool saturated = base.slo_attainment >= 1.0;
+        if (saturated ? flex.slo_attainment < 1.0
+                      : flex.slo_attainment <= base.slo_attainment) {
+          ok = false;
+        }
+        if (saturated
+                ? flex.p99_latency_seconds >= base.p99_latency_seconds
+                : flex.p99_latency_seconds > base.p99_latency_seconds) {
+          ok = false;
+        }
       }
     }
     if (IsStrictScenario(scenarios[i])) {
