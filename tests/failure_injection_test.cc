@@ -350,5 +350,34 @@ TEST(FlexMoEFailureTest, ZeroMigrationConfiguration) {
   EXPECT_EQ(sys->stats().num_steps(), 10);
 }
 
+// A fail-stop under auto-K chunk depth (pipeline_chunks = 0) and the
+// heavy-tailed size mix with shedding: the faulted batch retries, and the
+// admission ledger still balances in requests and in tokens for every
+// system.
+TEST(ServingFailureTest, FailStopUnderAutoKHeavyMixBalancesLedger) {
+  for (const char* system : {"deepspeed", "fastermoe", "swipe", "flexmoe"}) {
+    ExperimentOptions o = ServingSizeMixCell("bursty", system);
+    o.measure_steps = 40;
+    o.pipeline_chunks = 0;
+    o.faults.scenario = "failstop";
+    o.faults.gpu = 2;
+    o.faults.fault_step = 20;  // mid-serving: batch 20 of 40
+    const auto report = RunExperiment(o);
+    ASSERT_TRUE(report.ok()) << system << ": "
+                             << report.status().ToString();
+    const ServingReport& s = report->serve;
+    EXPECT_GE(s.failed_batches, 1) << system;
+    EXPECT_EQ(report->faults_applied, 1) << system;
+    EXPECT_EQ(s.requests_arrived,
+              s.requests_completed + s.requests_shed +
+                  s.requests_queued_at_end)
+        << system;
+    EXPECT_EQ(s.tokens_arrived,
+              s.tokens_completed + s.tokens_shed + s.tokens_queued_at_end)
+        << system;
+    EXPECT_GT(s.requests_completed, 0) << system;
+  }
+}
+
 }  // namespace
 }  // namespace flexmoe
