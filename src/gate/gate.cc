@@ -14,8 +14,8 @@ void SoftmaxInto(const double* logits, int n, double* out) {
     out[i] = std::exp(logits[i] - m);
     total += out[i];
   }
-  // Division (not reciprocal-multiply): keeps results bit-identical to the
-  // vector Softmax and to every pinned gate stream.
+  // Division, not reciprocal-multiply: every pinned gate stream and golden
+  // was produced with it, and the two round differently.
   for (int i = 0; i < n; ++i) out[i] /= total;
 }
 

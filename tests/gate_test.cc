@@ -93,7 +93,7 @@ TEST(TopKGateTest, SkewedLogitsSkewCounts) {
 }
 
 TEST(TopKGateTest, MultinomialApproximatesExactTop2) {
-  // The count-level approximation must agree with exact Gumbel top-2 on
+  // The count-level approximation must agree with exact per-token top-2 on
   // aggregate expert shares at realistic skew.
   TopKGateOptions base;
   base.num_experts = 16;
