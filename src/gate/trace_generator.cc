@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <tuple>
 
 #include "util/byte_io.h"
@@ -23,6 +24,9 @@ Status TraceGeneratorOptions::Validate() const {
   }
   if (top_k <= 0 || top_k > num_experts) {
     return Status::InvalidArgument("top_k out of range");
+  }
+  if (skew_top_count > num_experts) {
+    return Status::InvalidArgument("skew_top_count > num_experts");
   }
   if (skew_top_share <= 0.0 || skew_top_share > 1.0) {
     return Status::InvalidArgument("skew_top_share must be in (0, 1]");
@@ -84,17 +88,39 @@ double CalibrateLogitSigmaUncached(int num_experts, int top_count,
       static_cast<double>(top_count) / static_cast<double>(num_experts);
   if (target_share <= uniform_share) return 0.0;
 
+  // Every bisection step evaluates the same 256 trials: draw their
+  // standard normals once. Normal(0, sigma) is 0.0 + sigma * Normal(), so
+  // scaling a shared draw reproduces the per-step redraw bit for bit.
+  constexpr int kTrials = 256;
+  const size_t n = static_cast<size_t>(num_experts);
+  std::vector<double> draws(kTrials * n);
+  Rng rng(seed);
+  for (double& d : draws) d = rng.Normal();
+  // Softmax is monotone in the draw at any sigma > 0, so each trial's
+  // descending draw order is its descending probability order: sort once
+  // here, and the top sum adds the same values in the same order as a
+  // sort of the probabilities would.
+  std::vector<int> order(kTrials * n);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const double* d = draws.data() + trial * n;
+    int* idx = order.data() + trial * n;
+    std::iota(idx, idx + n, 0);
+    std::sort(idx, idx + n, [d](int a, int b) { return d[a] > d[b]; });
+  }
+
+  std::vector<double> logits(n);
+  std::vector<double> probs(n);
   auto mean_topk_share = [&](double sigma) {
-    Rng rng(seed);
-    constexpr int kTrials = 256;
     double acc = 0.0;
-    std::vector<double> logits(static_cast<size_t>(num_experts));
     for (int trial = 0; trial < kTrials; ++trial) {
-      for (double& z : logits) z = rng.Normal(0.0, sigma);
-      std::vector<double> probs = Softmax(logits);
-      std::sort(probs.begin(), probs.end(), std::greater<double>());
+      const double* d = draws.data() + trial * n;
+      const int* idx = order.data() + trial * n;
+      for (size_t e = 0; e < n; ++e) logits[e] = 0.0 + sigma * d[e];
+      SoftmaxInto(logits.data(), num_experts, probs.data());
       double share = 0.0;
-      for (int i = 0; i < top_count; ++i) share += probs[static_cast<size_t>(i)];
+      for (int i = 0; i < top_count; ++i) {
+        share += probs[static_cast<size_t>(idx[i])];
+      }
       acc += share;
     }
     return acc / kTrials;

@@ -43,7 +43,8 @@ struct TraceGeneratorOptions {
 
   /// Skew calibration target: the `skew_top_count` most popular experts
   /// capture `skew_top_share` of tokens (paper Fig. 3a: 10 of 64 -> 75%).
-  /// skew_top_count <= 0 selects round(num_experts * 10 / 64).
+  /// skew_top_count <= 0 selects round(num_experts * 10 / 64); a value
+  /// above num_experts is rejected by Validate.
   int skew_top_count = 0;
   double skew_top_share = 0.75;
 
@@ -79,7 +80,12 @@ struct TraceGeneratorOptions {
 
 /// \brief Monte-Carlo calibration: the logit sigma at which the mean
 /// `top_count`-expert share of softmax(N(0, sigma^2)) logits equals
-/// `target_share`.
+/// `target_share`. Bisects over one shared set of 256 x num_experts
+/// standard normals drawn from `Rng(seed)`, each trial sorted once by draw;
+/// the result is bit-identical to redrawing the trials and sorting their
+/// probabilities at every step (DESIGN.md Section 4). Memoized process-wide
+/// and safe to call from concurrent threads. Requires
+/// 0 < top_count <= num_experts and 0 < target_share <= 1.
 double CalibrateLogitSigma(int num_experts, int top_count,
                            double target_share, uint64_t seed);
 

@@ -27,19 +27,44 @@ HardwareProfile::HardwareProfile(const Topology* topo, const GpuSpec& spec)
   link_efficiency_[LinkClass::kLoopback] = 1.0;
   link_efficiency_[LinkClass::kIntraNode] = 1.0;
   link_efficiency_[LinkClass::kInterNode] = 1.0;
-  RebuildLinkCaches();
-}
-
-void HardwareProfile::RebuildLinkCaches() {
   const int n = topo_->num_gpus();
   bandwidth_cache_.assign(n, n, 0.0);
   latency_cache_.assign(n, n, 0.0);
+  for (LinkClass link : {LinkClass::kLoopback, LinkClass::kIntraNode,
+                         LinkClass::kInterNode}) {
+    FillLinkClass(link);
+  }
+}
+
+void HardwareProfile::FillLinkClass(LinkClass link) {
+  const double bandwidth =
+      topo_->ClassBandwidthBytesPerSec(link) * link_efficiency_.at(link);
+  const double latency = topo_->ClassLatencySeconds(link);
+  const int n = topo_->num_gpus();
+  const int per_node = topo_->gpus_per_node();
   for (GpuId src = 0; src < n; ++src) {
-    for (GpuId dst = 0; dst < n; ++dst) {
-      const LinkClass link = topo_->LinkBetween(src, dst);
-      bandwidth_cache_(src, dst) =
-          topo_->BandwidthBytesPerSec(src, dst) * link_efficiency_.at(link);
-      latency_cache_(src, dst) = topo_->LatencySeconds(src, dst);
+    double* bandwidth_row = bandwidth_cache_.row(src);
+    double* latency_row = latency_cache_.row(src);
+    const auto fill = [&](GpuId begin, GpuId end) {
+      std::fill(bandwidth_row + begin, bandwidth_row + end, bandwidth);
+      std::fill(latency_row + begin, latency_row + end, latency);
+    };
+    // A node's GPUs are contiguous ids (Topology::NodeOf), so src's
+    // intra-node peers form one block of the row.
+    const GpuId node_begin = topo_->NodeOf(src) * per_node;
+    const GpuId node_end = node_begin + per_node;
+    switch (link) {
+      case LinkClass::kLoopback:
+        fill(src, src + 1);
+        break;
+      case LinkClass::kIntraNode:
+        fill(node_begin, src);
+        fill(src + 1, node_end);
+        break;
+      case LinkClass::kInterNode:
+        fill(0, node_begin);
+        fill(node_end, n);
+        break;
     }
   }
 }
@@ -139,7 +164,7 @@ void HardwareProfile::SetComputeCalibration(double overhead_sec,
 void HardwareProfile::SetLinkEfficiency(LinkClass link, double efficiency) {
   FLEXMOE_CHECK(efficiency > 0 && efficiency <= 1.5);
   link_efficiency_[link] = efficiency;
-  RebuildLinkCaches();
+  FillLinkClass(link);
 }
 
 void HardwareProfile::SetAllReduceCalibration(const GroupSignature& sig,

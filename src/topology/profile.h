@@ -170,9 +170,11 @@ class HardwareProfile {
 
   double RingAllReduceSeconds(double bytes, const GroupSignature& sig) const;
 
-  /// Rebuilds the flat pairwise caches from the topology and the current
-  /// link efficiencies (called at construction and by SetLinkEfficiency).
-  void RebuildLinkCaches();
+  /// Writes the flat-cache bandwidth and latency of every GPU pair of
+  /// class `link` from the class's topology values and current efficiency
+  /// (every class at construction; only the changed one in
+  /// SetLinkEfficiency).
+  void FillLinkClass(LinkClass link);
 
   const Topology* topo_;
   GpuSpec spec_;

@@ -58,7 +58,15 @@ LinkClass Topology::LinkBetween(GpuId a, GpuId b) const {
 }
 
 double Topology::BandwidthBytesPerSec(GpuId a, GpuId b) const {
-  switch (LinkBetween(a, b)) {
+  return ClassBandwidthBytesPerSec(LinkBetween(a, b));
+}
+
+double Topology::LatencySeconds(GpuId a, GpuId b) const {
+  return ClassLatencySeconds(LinkBetween(a, b));
+}
+
+double Topology::ClassBandwidthBytesPerSec(LinkClass link) const {
+  switch (link) {
     case LinkClass::kLoopback:
       return options_.loopback_bytes_per_sec;
     case LinkClass::kIntraNode:
@@ -69,8 +77,8 @@ double Topology::BandwidthBytesPerSec(GpuId a, GpuId b) const {
   return 0.0;
 }
 
-double Topology::LatencySeconds(GpuId a, GpuId b) const {
-  switch (LinkBetween(a, b)) {
+double Topology::ClassLatencySeconds(LinkClass link) const {
+  switch (link) {
     case LinkClass::kLoopback:
       return options_.loopback_latency_sec;
     case LinkClass::kIntraNode:

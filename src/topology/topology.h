@@ -73,6 +73,11 @@ class Topology {
   /// One-way message latency of the (a, b) path in seconds.
   double LatencySeconds(GpuId a, GpuId b) const;
 
+  /// Bandwidth and latency shared by every path of class `link` (the
+  /// cluster is homogeneous per link class).
+  double ClassBandwidthBytesPerSec(LinkClass link) const;
+  double ClassLatencySeconds(LinkClass link) const;
+
   /// All GPUs residing on `node`.
   std::vector<GpuId> GpusOnNode(NodeId node) const;
 

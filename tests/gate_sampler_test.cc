@@ -154,6 +154,13 @@ TEST(GateSamplerEquivalenceTest, MultinomialChiSquaredVsClosedForm) {
   TopKGateOptions o = BaseOptions(false);
   o.num_gpus = 1;
   EXPECT_LT(TopTwoChiSquared(o, SkewedLogits(1, 16, 14)[0], 999), 40.0);
+  // One expert holding over 40% of the mass: a second round drawn with
+  // replacement from p would give it about p_e more second choices than
+  // the without-replacement marginal, far past the bound.
+  std::vector<double> dominant = SkewedLogits(1, 16, 14)[0];
+  dominant[0] = *std::max_element(dominant.begin(), dominant.end()) + 2.0;
+  ASSERT_GT(Softmax(dominant)[0], 0.4);
+  EXPECT_LT(TopTwoChiSquared(o, dominant, 999), 40.0);
 }
 
 TEST(GateSamplerEquivalenceTest, ExactChiSquaredVsClosedForm) {

@@ -4,6 +4,7 @@
 
 #include <iterator>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "topology/profile.h"
@@ -130,6 +131,45 @@ TEST(HardwareProfileTest, P2pUsesLinkBandwidth) {
               topo.LatencySeconds(0, 1) +
                   bytes / topo.BandwidthBytesPerSec(0, 1),
               1e-12);
+}
+
+// The flat caches are filled per link class; every pair must still read
+// its own path's topology values times its class efficiency, bitwise,
+// after each class's efficiency changes alone (one GPU per node has no
+// intra-node pairs at all).
+TEST(HardwareProfileTest, LinkCachesMatchTopologyPerPair) {
+  for (const int gpus_per_node : {1, 4}) {
+    TopologyOptions o;
+    o.num_nodes = 3;
+    o.gpus_per_node = gpus_per_node;
+    const Topology topo = *Topology::Create(o);
+    HardwareProfile p(&topo, GpuSpec{});
+    std::map<LinkClass, double> efficiency = {{LinkClass::kLoopback, 1.0},
+                                              {LinkClass::kIntraNode, 1.0},
+                                              {LinkClass::kInterNode, 1.0}};
+    const auto expect_all_pairs = [&] {
+      for (GpuId src = 0; src < topo.num_gpus(); ++src) {
+        for (GpuId dst = 0; dst < topo.num_gpus(); ++dst) {
+          const LinkClass link = topo.LinkBetween(src, dst);
+          EXPECT_EQ(p.BandwidthBytesPerSec(src, dst),
+                    topo.BandwidthBytesPerSec(src, dst) * efficiency[link])
+              << src << "->" << dst;
+          EXPECT_EQ(p.LatencySeconds(src, dst), topo.LatencySeconds(src, dst))
+              << src << "->" << dst;
+        }
+      }
+    };
+    expect_all_pairs();
+    const std::pair<LinkClass, double> updates[] = {
+        {LinkClass::kInterNode, 0.9},
+        {LinkClass::kLoopback, 1.2},
+        {LinkClass::kIntraNode, 0.7}};
+    for (const auto& [link, value] : updates) {
+      p.SetLinkEfficiency(link, value);
+      efficiency[link] = value;
+      expect_all_pairs();
+    }
+  }
 }
 
 TEST(HardwareProfileTest, RingAllReduceFormula) {

@@ -37,6 +37,15 @@ TEST(TraceGeneratorOptionsTest, Validation) {
   o = SmallOptions();
   o.balance_coef = -0.1;
   EXPECT_FALSE(o.Validate().ok());
+  // A top count above num_experts is rejected, not left to abort in the
+  // sigma calibration.
+  o = SmallOptions();
+  o.skew_top_count = o.num_experts + 1;
+  EXPECT_FALSE(o.Validate().ok());
+  EXPECT_EQ(TraceGenerator::Create(o).status().code(),
+            StatusCode::kInvalidArgument);
+  o.skew_top_count = o.num_experts;
+  EXPECT_TRUE(o.Validate().ok());
 }
 
 TEST(CalibrateLogitSigmaTest, HitsTargetShare) {
