@@ -121,15 +121,11 @@ double HardwareProfile::RingAllReduceSeconds(double bytes,
   // Ring all-reduce: 2(k-1) phases, each moving bytes/k over the
   // bottleneck link; latency paid once per phase. The bottleneck link of
   // any ring over the group is inter-node iff the group spans nodes.
-  const bool spans_nodes = sig.num_nodes > 1;
-  const TopologyOptions& o = topo_->options();
   const LinkClass link =
-      spans_nodes ? LinkClass::kInterNode : LinkClass::kIntraNode;
-  const double bw = (spans_nodes ? o.inter_node_bytes_per_sec
-                                 : o.intra_node_bytes_per_sec) *
-                    link_efficiency_.at(link);
-  const double lat =
-      spans_nodes ? o.inter_node_latency_sec : o.intra_node_latency_sec;
+      sig.num_nodes > 1 ? LinkClass::kInterNode : LinkClass::kIntraNode;
+  const double bw =
+      topo_->ClassBandwidthBytesPerSec(link) * link_efficiency_.at(link);
+  const double lat = topo_->ClassLatencySeconds(link);
   const double phases = 2.0 * static_cast<double>(k - 1);
   return phases * (bytes / static_cast<double>(k) / bw + lat);
 }
