@@ -6,6 +6,7 @@
 
 #include "harness/experiment.h"
 #include "harness/reporters.h"
+#include "util/string_util.h"
 
 namespace flexmoe {
 namespace {
@@ -65,6 +66,48 @@ TEST(ExperimentTest, LargeEPPresetRunsEndToEnd) {
   EXPECT_GT(report->throughput_tokens_per_sec, 0.0);
   EXPECT_GE(report->mean_balance_ratio, 1.0);
   EXPECT_EQ(report->num_gpus, 16);
+}
+
+/// Every simulated outcome of a report as hex floats (exact round trip).
+std::string HexDigest(const ExperimentReport& r) {
+  return StrFormat(
+      "trace=%016llx step=%a total=%a thr=%a bal=%a expert=%a util=%a "
+      "hours=%a ops=%lld",
+      static_cast<unsigned long long>(r.trace_hash), r.mean_step_seconds,
+      r.stats.TotalSeconds(), r.throughput_tokens_per_sec,
+      r.mean_balance_ratio, r.mean_expert_efficiency, r.mean_gpu_utilization,
+      r.hours_to_target, static_cast<long long>(r.stats.TotalOpsApplied()));
+}
+
+TEST(ExperimentTest, LargeEPPresetDigestPins) {
+  // The large-EP preset at 16 nodes (G = 128), serial and at auto-K: the
+  // executor's All-to-All over every routed pair is on this path, so any
+  // change to a port's reservation order shows up in the step times.
+  struct Pin {
+    int chunks;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {1,
+       "trace=62daf3c4ed7a5433 step=0x1.24ea300171c96p-5 "
+       "total=0x1.f46a188481332p-3 thr=0x1.bf798ee242a6fp+21 "
+       "bal=0x1.288199999999ap+3 expert=0x1.12a3cf18acd5p-2 "
+       "util=0x1.3492b9aa7adfp-3 hours=0x0p+0 ops=226"},
+      {0,
+       "trace=62daf3c4ed7a5433 step=0x1.d63aeda8613b5p-6 "
+       "total=0x1.7fb170fdf8b48p-3 thr=0x1.16bd75d177f99p+22 "
+       "bal=0x1.288199999999ap+3 expert=0x1.4717803f8d25cp-2 "
+       "util=0x1.7cfafb8e24ca2p-3 hours=0x0p+0 ops=226"},
+  };
+  for (const Pin& pin : pins) {
+    ExperimentOptions o = LargeEPOptions(128);
+    o.measure_steps = 6;
+    o.warmup_steps = 1;
+    o.pipeline_chunks = pin.chunks;
+    const auto report = RunExperiment(o);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(HexDigest(*report), pin.digest) << "chunks " << pin.chunks;
+  }
 }
 
 TEST(ExperimentTest, DeterministicReports) {
