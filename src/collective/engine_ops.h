@@ -9,6 +9,7 @@
 #ifndef FLEXMOE_COLLECTIVE_ENGINE_OPS_H_
 #define FLEXMOE_COLLECTIVE_ENGINE_OPS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "collective/comm_cost.h"
@@ -25,11 +26,24 @@ struct CollectiveResult {
   std::vector<double> per_gpu_finish;
 };
 
-/// \brief Executes an All-to-All described by a byte matrix.
+/// \brief Executes an All-to-All described by a byte matrix (src-major:
+/// bytes(src, dst)).
 ///
-/// Messages follow the standard shifted schedule (round r: src -> (src+r) mod
-/// G) used by NCCL to avoid ingress hotspots; each message occupies the
-/// source egress port and destination ingress port simultaneously.
+/// Port model (LogGP-style; NCCL chunk-interleaves all peer flows): each
+/// message src -> dst reserves its serialization time on egress(src) from
+/// `earliest` and, independently, on ingress(dst) from `earliest` plus the
+/// link latency; it ends at the later of the two reservations' ends plus
+/// the latency, and a GPU finishes at its latest message end. Reservations
+/// serialize per port, so each port's message ORDER fixes the timing. The
+/// order is the shifted schedule NCCL uses to avoid ingress hotspots —
+/// round r sends src -> (src + r) mod G — seen per port:
+///   - egress(src) takes its messages in r order: dst = src, src+1, ...,
+///     G-1, 0, ..., src-1;
+///   - ingress(dst) takes its messages in r order: src = dst, dst-1, ...,
+///     0, G-1, ..., dst+1.
+/// No port's sequence depends on any other port, and pair ends and
+/// per-GPU finishes are maxima, so the engine is free to visit pairs in
+/// any order that keeps each port's own order (DESIGN.md Section 6.2).
 ///
 /// `port_scale` (nullable, size = num_gpus) stretches each port's
 /// serialization time by that GPU's factor: a message src -> dst holds
@@ -40,6 +54,33 @@ struct CollectiveResult {
 CollectiveResult ExecAllToAll(ClusterState* cluster,
                               const HardwareProfile& profile,
                               const ByteMatrix& bytes, double earliest,
+                              const std::vector<double>* port_scale = nullptr);
+
+/// \brief The payload of a routed All-to-All, read straight from the
+/// router's destination-major token counts (no byte matrix).
+struct RoutedA2A {
+  /// dispatch_to(dst, src): tokens routed from src to dst, as
+  /// RoutedAssignment::dispatch_to holds them.
+  const Matrix<int64_t>* dispatch_to = nullptr;
+  /// false: the dispatch, tokens move src -> dst; true: the combine, they
+  /// return dst -> src.
+  bool combine = false;
+  double token_bytes = 0.0;
+  /// Chunk `chunk` of `chunks`: a cell of v tokens carries the piece
+  /// v(k+1)/K - vk/K (integer-exact; the K pieces sum to v).
+  int chunk = 0;
+  int chunks = 1;
+  /// Nullable, size = num_gpus: an endpoint with alive[g] == 0 moves
+  /// nothing. nullptr means every GPU is alive.
+  const std::vector<uint8_t>* alive = nullptr;
+};
+
+/// \brief ExecAllToAll over routed tokens: message bytes are the cell's
+/// tokens (or chunk piece) times token_bytes, bit-identical to building
+/// that byte matrix and calling the overload above.
+CollectiveResult ExecAllToAll(ClusterState* cluster,
+                              const HardwareProfile& profile,
+                              const RoutedA2A& tokens, double earliest,
                               const std::vector<double>* port_scale = nullptr);
 
 /// \brief Executes a ring AllReduce of `bytes` over `group`.

@@ -74,98 +74,74 @@ std::vector<GpuId> StepExecutor::AliveGpus() const {
   return out;
 }
 
-const ByteMatrix& StepExecutor::DispatchBytes(const RoutedAssignment& routed,
-                                              bool transpose) const {
-  // Reusable scratch: one G x G matrix per executor, refilled per call
-  // (callers consume the matrix before the next DispatchBytes call).
-  dispatch_bytes_scratch_.assign(routed.num_gpus, routed.num_gpus, 0.0);
-  ByteMatrix& bytes = dispatch_bytes_scratch_;
-  const double token_bytes = model_.token_bytes();
-  for (int d = 0; d < routed.num_gpus; ++d) {
-    if (!Alive(d)) continue;
-    const int64_t* row = routed.dispatch_to.row(d);
-    for (int s = 0; s < routed.num_gpus; ++s) {
-      const int64_t tokens = row[s];
-      if (tokens <= 0) continue;
-      // Dead endpoints move nothing. Straggler slowdown is NOT folded into
-      // the payload here: the engine's per-port scale (BandwidthScales)
-      // stretches the slow endpoint's port directly, so the stretch
-      // applies exactly once instead of inflating both ports' bytes.
-      if (!Alive(s)) continue;
-      const double payload = static_cast<double>(tokens) * token_bytes;
-      if (transpose) {
-        bytes(d, s) += payload;
-      } else {
-        bytes(s, d) += payload;
-      }
-    }
+void StepExecutor::RefreshAliveMask() {
+  alive_mask_.resize(static_cast<size_t>(cluster_->num_gpus()));
+  for (GpuId g = 0; g < cluster_->num_gpus(); ++g) {
+    alive_mask_[static_cast<size_t>(g)] = Alive(g) ? 1 : 0;
   }
-  return bytes;
 }
 
-const ByteMatrix& StepExecutor::DispatchBytesChunk(
-    const RoutedAssignment& routed, bool transpose, int k, int K) const {
+RoutedA2A StepExecutor::Tokens(const RoutedAssignment& routed, bool combine,
+                               int k, int K) const {
+  RoutedA2A a2a;
+  a2a.dispatch_to = &routed.dispatch_to;
+  a2a.combine = combine;
+  a2a.token_bytes = model_.token_bytes();
   // Per-cell chunk split: cell v contributes v*(k+1)/K - v*k/K tokens to
   // chunk k. Integer-exact (the K pieces sum to v), and the last chunk is
   // the ceil — the property the pipelined floor bound relies on
   // (cost_model.cc, DESIGN.md Section 11).
-  chunk_bytes_scratch_.assign(routed.num_gpus, routed.num_gpus, 0.0);
-  ByteMatrix& bytes = chunk_bytes_scratch_;
-  const double token_bytes = model_.token_bytes();
-  const int64_t k64 = k;
-  const int64_t K64 = K;
-  for (int d = 0; d < routed.num_gpus; ++d) {
-    if (!Alive(d)) continue;
-    const int64_t* row = routed.dispatch_to.row(d);
-    for (int s = 0; s < routed.num_gpus; ++s) {
-      const int64_t tokens = row[s];
-      if (tokens <= 0) continue;
-      if (!Alive(s)) continue;
-      const int64_t piece =
-          tokens * (k64 + 1) / K64 - tokens * k64 / K64;
-      if (piece <= 0) continue;
-      const double payload = static_cast<double>(piece) * token_bytes;
-      if (transpose) {
-        bytes(d, s) += payload;
-      } else {
-        bytes(s, d) += payload;
-      }
-    }
-  }
-  return bytes;
+  a2a.chunk = k;
+  a2a.chunks = K;
+  a2a.alive = health_ == nullptr ? nullptr : &alive_mask_;
+  return a2a;
 }
 
 double StepExecutor::RunExpertCompute(
     const RoutedAssignment& routed, double flops_per_token,
     const std::vector<double>& per_gpu_earliest, StepTiming* timing,
     const char* span_name, int layer) {
+  // Walks expert_gpu_tokens row by row with a running finish per GPU, so
+  // each GPU still computes its experts in ascending order. Tokens landing
+  // on a dead device (possible only in degraded mode, when no live replica
+  // exists) are simply not computed.
+  const size_t num_gpus = static_cast<size_t>(routed.num_gpus);
+  std::vector<double>& gpu_finish = gpu_finish_scratch_;
+  std::vector<double>& gpu_flops = gpu_flops_scratch_;
+  std::vector<int64_t>& gpu_tokens = gpu_tokens_scratch_;
+  gpu_finish.assign(per_gpu_earliest.begin(),
+                    per_gpu_earliest.begin() + routed.num_gpus);
+  gpu_flops.resize(num_gpus);
+  gpu_tokens.assign(num_gpus, 0);
+  for (GpuId g = 0; g < routed.num_gpus; ++g) {
+    gpu_flops[static_cast<size_t>(g)] = flops_per_token * ComputeScale(g);
+  }
+  double* busy = timing->per_gpu_expert_compute.data();
+  for (int e = 0; e < routed.num_experts; ++e) {
+    const int64_t* row = routed.expert_gpu_tokens.row(e);
+    for (GpuId g = 0; g < routed.num_gpus; ++g) {
+      const int64_t tokens = row[g];
+      if (tokens <= 0 || alive_mask_[static_cast<size_t>(g)] == 0) continue;
+      double& finish = gpu_finish[static_cast<size_t>(g)];
+      const double before = finish;
+      finish = ExecCompute(cluster_, *profile_, g, static_cast<double>(tokens),
+                           gpu_flops[static_cast<size_t>(g)], finish);
+      busy[g] += finish - before;
+      gpu_tokens[static_cast<size_t>(g)] += tokens;
+    }
+  }
   obs::Tracer* tr = trace();
   double finish = 0.0;
   for (GpuId g = 0; g < routed.num_gpus; ++g) {
-    // Tokens landing on a dead device (possible only in degraded mode,
-    // when no live replica exists) are simply not computed.
-    if (!Alive(g)) continue;
+    if (alive_mask_[static_cast<size_t>(g)] == 0) continue;
     const double gpu_start = per_gpu_earliest[static_cast<size_t>(g)];
-    double gpu_finish = gpu_start;
-    int64_t gpu_tokens = 0;
-    const double effective_flops = flops_per_token * ComputeScale(g);
-    for (int e = 0; e < routed.num_experts; ++e) {
-      const int64_t tokens = routed.expert_gpu_tokens(e, g);
-      if (tokens <= 0) continue;
-      const double before = gpu_finish;
-      gpu_finish = ExecCompute(cluster_, *profile_, g,
-                               static_cast<double>(tokens), effective_flops,
-                               gpu_finish);
-      timing->per_gpu_expert_compute[static_cast<size_t>(g)] +=
-          gpu_finish - before;
-      gpu_tokens += tokens;
-    }
-    if (tr != nullptr && gpu_finish > gpu_start) {
-      tr->Span(span_name, "compute", g, gpu_start, gpu_finish, "layer",
+    const double gpu_end = gpu_finish[static_cast<size_t>(g)];
+    if (tr != nullptr && gpu_end > gpu_start) {
+      tr->Span(span_name, "compute", g, gpu_start, gpu_end, "layer",
                static_cast<double>(layer), "tokens",
-               static_cast<double>(gpu_tokens));
+               static_cast<double>(gpu_tokens[static_cast<size_t>(g)]));
     }
-    finish = std::max(finish, gpu_finish);
+    finish = std::max(finish, gpu_end);
   }
   return finish;
 }
@@ -175,37 +151,48 @@ double StepExecutor::RunExpertComputeChunk(
     const std::vector<double>& per_gpu_earliest, StepTiming* timing,
     const char* span_name, int layer) {
   // RunExpertCompute restricted to chunk k's share of every (expert, GPU)
-  // cell (same split rule as DispatchBytesChunk, so the computed tokens
-  // are exactly the ones this chunk's dispatch delivered).
-  obs::Tracer* tr = trace();
+  // cell (same split rule as Tokens, so the computed tokens are exactly
+  // the ones this chunk's dispatch delivered).
   const int64_t k64 = k;
   const int64_t K64 = K;
-  double finish = 0.0;
+  const size_t num_gpus = static_cast<size_t>(routed.num_gpus);
+  std::vector<double>& gpu_finish = gpu_finish_scratch_;
+  std::vector<double>& gpu_flops = gpu_flops_scratch_;
+  gpu_finish.assign(per_gpu_earliest.begin(),
+                    per_gpu_earliest.begin() + routed.num_gpus);
+  gpu_flops.resize(num_gpus);
   for (GpuId g = 0; g < routed.num_gpus; ++g) {
-    if (!Alive(g)) continue;
-    const double gpu_start = per_gpu_earliest[static_cast<size_t>(g)];
-    double gpu_finish = gpu_start;
-    const double effective_flops = flops_per_token * ComputeScale(g);
-    for (int e = 0; e < routed.num_experts; ++e) {
-      const int64_t cell = routed.expert_gpu_tokens(e, g);
-      if (cell <= 0) continue;
+    gpu_flops[static_cast<size_t>(g)] = flops_per_token * ComputeScale(g);
+  }
+  double* busy = timing->per_gpu_expert_compute.data();
+  for (int e = 0; e < routed.num_experts; ++e) {
+    const int64_t* row = routed.expert_gpu_tokens.row(e);
+    for (GpuId g = 0; g < routed.num_gpus; ++g) {
+      const int64_t cell = row[g];
+      if (cell <= 0 || alive_mask_[static_cast<size_t>(g)] == 0) continue;
       const int64_t tokens = cell * (k64 + 1) / K64 - cell * k64 / K64;
       if (tokens <= 0) continue;
-      gpu_finish = ExecCompute(cluster_, *profile_, g,
-                               static_cast<double>(tokens), effective_flops,
-                               gpu_finish);
+      const double flops = gpu_flops[static_cast<size_t>(g)];
+      double& finish = gpu_finish[static_cast<size_t>(g)];
+      finish = ExecCompute(cluster_, *profile_, g, static_cast<double>(tokens),
+                           flops, finish);
       // Busy time, not wall: a chunk whose dispatch landed early may wait
       // for the previous chunk's compute to drain, and that wait is the
       // overlap working as intended — not expert occupancy.
-      timing->per_gpu_expert_compute[static_cast<size_t>(g)] +=
-          profile_->ComputeSeconds(static_cast<double>(tokens),
-                                   effective_flops);
+      busy[g] += profile_->ComputeSeconds(static_cast<double>(tokens), flops);
     }
-    if (tr != nullptr && gpu_finish > gpu_start) {
-      tr->Span(span_name, "compute", g, gpu_start, gpu_finish, "layer",
+  }
+  obs::Tracer* tr = trace();
+  double finish = 0.0;
+  for (GpuId g = 0; g < routed.num_gpus; ++g) {
+    if (alive_mask_[static_cast<size_t>(g)] == 0) continue;
+    const double gpu_start = per_gpu_earliest[static_cast<size_t>(g)];
+    const double gpu_end = gpu_finish[static_cast<size_t>(g)];
+    if (tr != nullptr && gpu_end > gpu_start) {
+      tr->Span(span_name, "compute", g, gpu_start, gpu_end, "layer",
                static_cast<double>(layer), "chunk", static_cast<double>(k));
     }
-    finish = std::max(finish, gpu_finish);
+    finish = std::max(finish, gpu_end);
   }
   return finish;
 }
@@ -249,7 +236,7 @@ double StepExecutor::RunForwardLayers(const std::vector<LayerWork>& layers,
 
     const double phase0 = frontier;
     const CollectiveResult dispatch = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, false), frontier,
+        cluster_, *profile_, Tokens(*work.routed, false), frontier,
         scales);
     TracePerGpuSpans(tr, recirc ? "recirc_dispatch" : "dispatch",
                      recirc ? "recirculation" : "a2a", phase0, dispatch,
@@ -262,7 +249,7 @@ double StepExecutor::RunForwardLayers(const std::vector<LayerWork>& layers,
     timing->compute_seconds += std::max(0.0, compute_finish - dispatch.finish);
 
     const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, true),
+        cluster_, *profile_, Tokens(*work.routed, true),
         compute_finish, scales);
     TracePerGpuSpans(tr, recirc ? "recirc_combine" : "combine",
                      recirc ? "recirculation" : "a2a", compute_finish,
@@ -290,7 +277,7 @@ double StepExecutor::RunForwardLayerChunked(
   double dispatch_all = phase0;
   for (int k = 0; k < K; ++k) {
     CollectiveResult d = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, false, k, K),
+        cluster_, *profile_, Tokens(*work.routed, false, k, K),
         phase0, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < d.per_gpu_finish.size(); ++g) {
@@ -321,7 +308,7 @@ double StepExecutor::RunForwardLayerChunked(
         timing, recirc ? "recirc_expert_compute" : "expert_compute", layer);
     compute_all = std::max(compute_all, chunk_compute);
     const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, true, k, K),
+        cluster_, *profile_, Tokens(*work.routed, true, k, K),
         chunk_compute, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < combine.per_gpu_finish.size(); ++g) {
@@ -366,7 +353,7 @@ double StepExecutor::RunBackwardLayerChunked(
   double dispatch_all = phase0;
   for (int k = 0; k < K; ++k) {
     CollectiveResult d = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, false, k, K),
+        cluster_, *profile_, Tokens(*work.routed, false, k, K),
         phase0, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < d.per_gpu_finish.size(); ++g) {
@@ -391,7 +378,7 @@ double StepExecutor::RunBackwardLayerChunked(
         "expert_compute_bwd", layer);
     compute_all = std::max(compute_all, chunk_compute);
     const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, true, k, K),
+        cluster_, *profile_, Tokens(*work.routed, true, k, K),
         chunk_compute, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < combine.per_gpu_finish.size(); ++g) {
@@ -420,6 +407,7 @@ StepTiming StepExecutor::ExecuteForward(const std::vector<LayerWork>& layers) {
   // With no backward pass there is no shadow-gradient AllReduce to pay,
   // so a broadcast is the whole shadowing price.
   const std::vector<GpuId> alive = AliveGpus();
+  RefreshAliveMask();
   double frontier = RunForwardLayers(layers, alive, timing.start, &timing);
 
   // Non-MoE forward compute (attention, dense FFNs, gate), scaled to the
@@ -520,6 +508,7 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
   // mutates health only at step boundaries), so the alive list is computed
   // once and shared by every shadow broadcast and the DP AllReduce below.
   const std::vector<GpuId> alive = AliveGpus();
+  RefreshAliveMask();
 
   // ---- Forward pass over MoE layers ------------------------------------
   frontier = RunForwardLayers(layers, alive, frontier, &timing);
@@ -569,7 +558,7 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
 
     const double phase0 = frontier;
     const CollectiveResult dispatch = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, false), frontier,
+        cluster_, *profile_, Tokens(*work.routed, false), frontier,
         scales);
     TracePerGpuSpans(tr, "grad_dispatch", "a2a", phase0, dispatch, layer);
     timing.a2a_seconds += dispatch.finish - phase0;
@@ -583,7 +572,7 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
                                 &timing, sync_finish);
 
     const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, true),
+        cluster_, *profile_, Tokens(*work.routed, true),
         compute_finish, scales);
     TracePerGpuSpans(tr, "grad_combine", "a2a", compute_finish, combine,
                      layer);

@@ -15,6 +15,7 @@
 #ifndef FLEXMOE_CORE_STEP_EXECUTOR_H_
 #define FLEXMOE_CORE_STEP_EXECUTOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "collective/engine_ops.h"
@@ -144,15 +145,17 @@ class StepExecutor {
   const std::vector<double>* BandwidthScales() const;
   /// All currently alive GPUs, ascending.
   std::vector<GpuId> AliveGpus() const;
-  /// Builds the dispatch byte matrix (optionally transposed for combine)
-  /// into a reusable scratch buffer. The returned reference is valid until
-  /// the next DispatchBytes call on this executor.
-  const ByteMatrix& DispatchBytes(const RoutedAssignment& routed,
-                                  bool transpose) const;
-  /// Chunk k of K of the dispatch byte matrix (per-cell split rule of
-  /// PipelineOptions) into a second scratch; valid until the next call.
-  const ByteMatrix& DispatchBytesChunk(const RoutedAssignment& routed,
-                                       bool transpose, int k, int K) const;
+  /// Refills alive_mask_ from the health view. Membership is fixed for the
+  /// duration of a step, so ExecuteStep/ExecuteForward call it once.
+  void RefreshAliveMask();
+  /// The routed All-to-All payload of one layer (chunk k of K; K == 1 is
+  /// the whole layer), read straight from routed.dispatch_to: the dispatch,
+  /// or with `combine` the return leg. Dead endpoints move nothing.
+  /// Straggler slowdown is not folded into the payload: the engine's
+  /// per-port scale (BandwidthScales) stretches the slow endpoint's port
+  /// directly, so the stretch applies exactly once.
+  RoutedA2A Tokens(const RoutedAssignment& routed, bool combine, int k = 0,
+                   int K = 1) const;
 
   /// Runs expert compute for one layer with the given FLOPs/token; returns
   /// the phase finish time. `span_name` labels the per-GPU trace spans
@@ -226,11 +229,15 @@ class StepExecutor {
   obs::Observability* obs_ = nullptr;
   PipelineOptions pipeline_;
   /// Per-call scratch owned by the executor (see DESIGN.md "Performance
-  /// architecture"); mutable because DispatchBytes is logically const.
-  mutable ByteMatrix dispatch_bytes_scratch_;
-  /// Chunked-path scratch (DispatchBytesChunk / BandwidthScales).
-  mutable ByteMatrix chunk_bytes_scratch_;
+  /// architecture"); mutable because BandwidthScales is logically const.
   mutable std::vector<double> port_scale_scratch_;
+  /// 1 per alive GPU (RefreshAliveMask); every GPU is alive without a
+  /// health view.
+  std::vector<uint8_t> alive_mask_;
+  /// Per-GPU running state of the expert-compute walk.
+  std::vector<double> gpu_finish_scratch_;
+  std::vector<double> gpu_flops_scratch_;
+  std::vector<int64_t> gpu_tokens_scratch_;
   /// Per-chunk dispatch results for the layer in flight (K is small).
   std::vector<CollectiveResult> chunk_dispatch_scratch_;
 };

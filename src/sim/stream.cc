@@ -6,14 +6,6 @@
 
 namespace flexmoe {
 
-double Stream::Reserve(double earliest, double duration) {
-  FLEXMOE_CHECK(duration >= 0.0);
-  const double start = std::max(earliest, busy_until_);
-  busy_until_ = start + duration;
-  busy_time_ += duration;
-  return start;
-}
-
 void Stream::ReserveInterval(double start, double end) {
   FLEXMOE_CHECK(end >= start);
   busy_until_ = std::max(busy_until_, end);

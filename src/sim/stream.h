@@ -7,9 +7,11 @@
 #ifndef FLEXMOE_SIM_STREAM_H_
 #define FLEXMOE_SIM_STREAM_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "topology/topology.h"
+#include "util/status.h"
 
 namespace flexmoe {
 
@@ -18,7 +20,14 @@ class Stream {
  public:
   /// Reserves `duration` seconds starting no earlier than `earliest` and no
   /// earlier than the end of the last reservation. Returns the start time.
-  double Reserve(double earliest, double duration);
+  /// Inline: the All-to-All kernel makes one call per port per message.
+  double Reserve(double earliest, double duration) {
+    FLEXMOE_CHECK(duration >= 0.0);
+    const double start = std::max(earliest, busy_until_);
+    busy_until_ = start + duration;
+    busy_time_ += duration;
+    return start;
+  }
 
   /// Records an externally computed interval [start, end); used when one
   /// transfer simultaneously occupies several streams. `start` may be
@@ -53,6 +62,9 @@ class ClusterState {
   Stream& egress(GpuId g) { return egress_[g]; }
   Stream& ingress(GpuId g) { return ingress_[g]; }
   Stream& adjust(GpuId g) { return adjust_[g]; }
+  /// Every GPU's egress (ingress) port as one array indexed by GpuId.
+  Stream* egress_ports() { return egress_.data(); }
+  Stream* ingress_ports() { return ingress_.data(); }
 
   /// Earliest time every stream of `g` is free.
   double GpuFreeAt(GpuId g) const;

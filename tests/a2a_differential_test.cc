@@ -193,6 +193,7 @@ void RunCase(const Case& c) {
   ClusterState ref(env.topo.get());
   ClusterState got(env.topo.get());
   PreloadPorts(&ref, &got, &rng);
+  ClusterState routed = got;  // same preloaded ports
 
   const double phase0 = 1e-3;
   for (int k = 0; k < c.chunks; ++k) {
@@ -207,6 +208,18 @@ void RunCase(const Case& c) {
       const CollectiveResult have =
           ExecAllToAll(&got, env.profile, bytes, earliest, port_scale);
       ExpectSameCollective(want, have, ref, got, what + " (byte matrix)");
+
+      RoutedA2A a2a;
+      a2a.dispatch_to = &tokens;
+      a2a.combine = combine;
+      a2a.token_bytes = token_bytes;
+      a2a.chunk = k;
+      a2a.chunks = c.chunks;
+      a2a.alive = c.dead ? &alive : nullptr;
+      const CollectiveResult via_tokens =
+          ExecAllToAll(&routed, env.profile, a2a, earliest, port_scale);
+      ExpectSameCollective(want, via_tokens, ref, routed,
+                           what + " (routed tokens)");
     }
   }
 }
