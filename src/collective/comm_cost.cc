@@ -61,14 +61,4 @@ double A2ASecondsAnalytic(const ByteMatrix& bytes,
   return worst + 2.0 * max_lat;
 }
 
-double AllReduceSecondsAnalytic(double bytes, const std::vector<GpuId>& group,
-                                const HardwareProfile& profile) {
-  return profile.AllReduceSeconds(bytes, group);
-}
-
-double P2pSecondsAnalytic(double bytes, GpuId src, GpuId dst,
-                          const HardwareProfile& profile) {
-  return profile.P2pSeconds(bytes, src, dst);
-}
-
 }  // namespace flexmoe

@@ -39,15 +39,6 @@ double A2ASenderSeconds(const ByteMatrix& bytes, GpuId src,
 double A2ASecondsAnalytic(const ByteMatrix& bytes,
                           const HardwareProfile& profile);
 
-/// \brief Analytic AllReduce time (delegates to the profile so that
-/// calibrated per-group fits are honoured).
-double AllReduceSecondsAnalytic(double bytes, const std::vector<GpuId>& group,
-                                const HardwareProfile& profile);
-
-/// \brief Analytic point-to-point transfer time.
-double P2pSecondsAnalytic(double bytes, GpuId src, GpuId dst,
-                          const HardwareProfile& profile);
-
 }  // namespace flexmoe
 
 #endif  // FLEXMOE_COLLECTIVE_COMM_COST_H_

@@ -250,11 +250,6 @@ std::vector<Assignment> TraceGenerator::Step() {
   return out;
 }
 
-const std::vector<double>& TraceGenerator::LayerLogits(int layer) const {
-  FLEXMOE_CHECK(layer >= 0 && layer < options_.num_moe_layers);
-  return logits_[static_cast<size_t>(layer)];
-}
-
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x464d4743;  // "FMGC"
 constexpr uint32_t kCheckpointVersion = 1;

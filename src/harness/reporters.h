@@ -1,5 +1,5 @@
-// Bench-side reporting helpers: paper-style tables with speedup columns and
-// ASCII series plots for trend figures.
+// Bench-side reporting helpers: speedup formatting, one-line report
+// summaries and ASCII series plots for trend figures.
 
 #ifndef FLEXMOE_HARNESS_REPORTERS_H_
 #define FLEXMOE_HARNESS_REPORTERS_H_
@@ -8,18 +8,11 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "util/table.h"
 
 namespace flexmoe {
 
 /// \brief "1.72x" style rendering of a speedup factor.
 std::string FormatSpeedup(double factor);
-
-/// \brief Table of time-to-quality across systems (one Figure 5 panel):
-/// rows are models, columns report hours and speedups over the first
-/// (baseline) system in `reports`.
-Table TimeToQualityTable(
-    const std::vector<std::vector<ExperimentReport>>& rows_by_model);
 
 /// \brief One-line summary of a report. Serving-mode reports summarize
 /// the SLO readouts (attainment, goodput, tail latencies, shed count)
