@@ -166,19 +166,27 @@ ExperimentOptions LargeEPOptions(int num_gpus) {
   return options;
 }
 
+namespace {
+
+/// The run's profile: the Profiler-calibrated one, or the analytic
+/// defaults without calibration. Only the profile the run uses is built.
+Result<HardwareProfile> BuildProfile(const ExperimentOptions& options,
+                                     const Topology* topo) {
+  const GpuSpec spec;
+  if (!options.calibrate_profile) return HardwareProfile(topo, spec);
+  Profiler profiler(topo, spec, ProfilerOptions{});
+  return profiler.Calibrate(options.model.expert_fwdbwd_flops_per_token());
+}
+
+}  // namespace
+
 Result<ExperimentReport> RunExperiment(const ExperimentOptions& options) {
   FLEXMOE_RETURN_IF_ERROR(options.Validate());
 
   FLEXMOE_ASSIGN_OR_RETURN(Topology topo,
                            Topology::Create(AzureA100Options(options.num_gpus)));
-  const GpuSpec spec;
-  HardwareProfile profile(&topo, spec);
-  if (options.calibrate_profile) {
-    Profiler profiler(&topo, spec, ProfilerOptions{});
-    FLEXMOE_ASSIGN_OR_RETURN(
-        profile,
-        profiler.Calibrate(options.model.expert_fwdbwd_flops_per_token()));
-  }
+  FLEXMOE_ASSIGN_OR_RETURN(HardwareProfile profile,
+                           BuildProfile(options, &topo));
   // After calibration: Calibrate returns a fresh profile, and the flag
   // only redirects the cost model's Eq. 8 estimate (the engine stays
   // pair-exact), so calibration itself is unaffected by it.
