@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "collective/profiler.h"
 #include "core/balance.h"
 #include "core/cost_model.h"
 #include "core/flexmoe.h"
@@ -450,6 +451,67 @@ int Run(bool quick, int threads, bool large_ep,
         floor <= measured,
         StrFormat("pipelined floor %.6fs exceeds measured forward %.6fs",
                   floor, measured));
+  }
+
+  // --- Executor at large EP (DESIGN.md Section 6.2) ----------------------
+  // ExecuteStep on one routed step of the large-EP preset (G = E = 512,
+  // serial): 2 layers x forward/backward x dispatch/combine, i.e. 8
+  // All-to-Alls over every routed GPU pair, plus the expert compute. Each
+  // sample times one call; the median and IQR of the samples are reported.
+  // The auto-K count is the All-to-Alls per step FlexMoE actually runs
+  // when it plans a chunk depth per layer (K chunks make 4K of them per
+  // layer), read from the metrics registry.
+  {
+    const ExperimentOptions preset = LargeEPOptions(512);
+    const Topology topo = *Topology::Create(AzureA100Options(512));
+    HardwareProfile profile =
+        *Profiler(&topo, GpuSpec{}, ProfilerOptions{})
+             .Calibrate(preset.model.expert_fwdbwd_flops_per_token());
+    profile.set_hierarchical_a2a(true);
+
+    const std::unique_ptr<TraceSource> source = *BuildTraceSource(preset);
+    const std::vector<Assignment> step = source->NextStep();
+    const Placement placement = *Placement::ExpertParallel(
+        {preset.model.num_experts, 512, preset.slots_per_gpu});
+    std::vector<RoutedAssignment> routed;
+    for (const Assignment& a : step) {
+      routed.push_back(FlexibleRouter::Route(a, placement));
+    }
+    std::vector<LayerWork> layers(routed.size());
+    for (size_t l = 0; l < routed.size(); ++l) {
+      layers[l].routed = &routed[l];
+      layers[l].placement = &placement;
+    }
+    ClusterState cluster(&topo);
+    StepExecutor exec(&cluster, &profile, preset.model);
+    exec.ExecuteStep(layers, nullptr);  // warm-up
+    Percentiles step_ms;
+    for (int i = 0; i < (quick ? 9 : 21); ++i) {
+      const double t0 = NowSeconds();
+      exec.ExecuteStep(layers, nullptr);
+      step_ms.Add(1e3 * (NowSeconds() - t0));
+    }
+    add("exec_step_ms_g512", step_ms.Quantile(0.5), "ms");
+    add("exec_step_ms_g512_iqr",
+        step_ms.Quantile(0.75) - step_ms.Quantile(0.25), "ms");
+
+    ExperimentOptions auto_k = preset;
+    auto_k.pipeline_chunks = 0;
+    obs::ObservabilityOptions obs_options;
+    obs_options.enabled = true;
+    obs_options.trace_capacity = 1024;
+    obs::Observability obs(obs_options);
+    const std::unique_ptr<MoESystem> system =
+        *BuildSystem(auto_k, &topo, &profile);
+    system->SetObservability(&obs);
+    const std::unique_ptr<TraceSource> auto_source =
+        *BuildTraceSource(auto_k);
+    const int steps = quick ? 4 : 12;
+    for (int i = 0; i < steps; ++i) system->RunStep(auto_source->NextStep());
+    add("exec_a2a_per_step_g512_auto_k",
+        static_cast<double>(obs.metrics().counter("exec.a2a_collectives")) /
+            steps,
+        "collectives");
   }
 
   // --- Auto-K vs best static chunk depth (DESIGN.md §12) -----------------

@@ -81,20 +81,24 @@ void StepExecutor::RefreshAliveMask() {
   }
 }
 
-RoutedA2A StepExecutor::Tokens(const RoutedAssignment& routed, bool combine,
-                               int k, int K) const {
-  RoutedA2A a2a;
-  a2a.dispatch_to = &routed.dispatch_to;
-  a2a.combine = combine;
-  a2a.token_bytes = model_.token_bytes();
+CollectiveResult StepExecutor::AllToAll(const LayerWork& work, bool combine,
+                                        int k, int K, double earliest,
+                                        const std::vector<double>* scales) {
+  RoutedA2A tokens;
+  tokens.dispatch_to = &work.routed->dispatch_to;
+  tokens.combine = combine;
+  tokens.token_bytes = model_.token_bytes();
   // Per-cell chunk split: cell v contributes v*(k+1)/K - v*k/K tokens to
   // chunk k. Integer-exact (the K pieces sum to v), and the last chunk is
   // the ceil — the property the pipelined floor bound relies on
   // (cost_model.cc, DESIGN.md Section 11).
-  a2a.chunk = k;
-  a2a.chunks = K;
-  a2a.alive = health_ == nullptr ? nullptr : &alive_mask_;
-  return a2a;
+  tokens.chunk = k;
+  tokens.chunks = K;
+  tokens.alive = health_ == nullptr ? nullptr : &alive_mask_;
+  if (obs::MetricsRegistry* m = obs::MetricsOf(obs_); m != nullptr) {
+    m->Add("exec.a2a_collectives");
+  }
+  return ExecAllToAll(cluster_, *profile_, tokens, earliest, scales);
 }
 
 double StepExecutor::RunExpertCompute(
@@ -151,7 +155,7 @@ double StepExecutor::RunExpertComputeChunk(
     const std::vector<double>& per_gpu_earliest, StepTiming* timing,
     const char* span_name, int layer) {
   // RunExpertCompute restricted to chunk k's share of every (expert, GPU)
-  // cell (same split rule as Tokens, so the computed tokens are exactly
+  // cell (same split rule as AllToAll, so the computed tokens are exactly
   // the ones this chunk's dispatch delivered).
   const int64_t k64 = k;
   const int64_t K64 = K;
@@ -235,9 +239,8 @@ double StepExecutor::RunForwardLayers(const std::vector<LayerWork>& layers,
     }
 
     const double phase0 = frontier;
-    const CollectiveResult dispatch = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, false), frontier,
-        scales);
+    const CollectiveResult dispatch =
+        AllToAll(work, false, 0, 1, frontier, scales);
     TracePerGpuSpans(tr, recirc ? "recirc_dispatch" : "dispatch",
                      recirc ? "recirculation" : "a2a", phase0, dispatch,
                      layer);
@@ -248,9 +251,8 @@ double StepExecutor::RunForwardLayers(const std::vector<LayerWork>& layers,
         recirc ? "recirc_expert_compute" : "expert_compute", layer);
     timing->compute_seconds += std::max(0.0, compute_finish - dispatch.finish);
 
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, true),
-        compute_finish, scales);
+    const CollectiveResult combine =
+        AllToAll(work, true, 0, 1, compute_finish, scales);
     TracePerGpuSpans(tr, recirc ? "recirc_combine" : "combine",
                      recirc ? "recirculation" : "a2a", compute_finish,
                      combine, layer);
@@ -276,9 +278,7 @@ double StepExecutor::RunForwardLayerChunked(
   dispatches.reserve(static_cast<size_t>(K));
   double dispatch_all = phase0;
   for (int k = 0; k < K; ++k) {
-    CollectiveResult d = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, false, k, K),
-        phase0, scales);
+    CollectiveResult d = AllToAll(work, false, k, K, phase0, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < d.per_gpu_finish.size(); ++g) {
         if (d.per_gpu_finish[g] > phase0) {
@@ -307,9 +307,8 @@ double StepExecutor::RunForwardLayerChunked(
             .per_gpu_finish,
         timing, recirc ? "recirc_expert_compute" : "expert_compute", layer);
     compute_all = std::max(compute_all, chunk_compute);
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, true, k, K),
-        chunk_compute, scales);
+    const CollectiveResult combine =
+        AllToAll(work, true, k, K, chunk_compute, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < combine.per_gpu_finish.size(); ++g) {
         if (combine.per_gpu_finish[g] > chunk_compute) {
@@ -352,9 +351,7 @@ double StepExecutor::RunBackwardLayerChunked(
   dispatches.reserve(static_cast<size_t>(K));
   double dispatch_all = phase0;
   for (int k = 0; k < K; ++k) {
-    CollectiveResult d = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, false, k, K),
-        phase0, scales);
+    CollectiveResult d = AllToAll(work, false, k, K, phase0, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < d.per_gpu_finish.size(); ++g) {
         if (d.per_gpu_finish[g] > phase0) {
@@ -377,9 +374,8 @@ double StepExecutor::RunBackwardLayerChunked(
         dispatches[static_cast<size_t>(k)].per_gpu_finish, timing,
         "expert_compute_bwd", layer);
     compute_all = std::max(compute_all, chunk_compute);
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, true, k, K),
-        chunk_compute, scales);
+    const CollectiveResult combine =
+        AllToAll(work, true, k, K, chunk_compute, scales);
     if (tr != nullptr) {
       for (size_t g = 0; g < combine.per_gpu_finish.size(); ++g) {
         if (combine.per_gpu_finish[g] > chunk_compute) {
@@ -557,9 +553,8 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
     }
 
     const double phase0 = frontier;
-    const CollectiveResult dispatch = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, false), frontier,
-        scales);
+    const CollectiveResult dispatch =
+        AllToAll(work, false, 0, 1, frontier, scales);
     TracePerGpuSpans(tr, "grad_dispatch", "a2a", phase0, dispatch, layer);
     timing.a2a_seconds += dispatch.finish - phase0;
 
@@ -571,9 +566,8 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
     sync_finish = RunLayerSyncs(work, compute_finish, group_cache, scales,
                                 &timing, sync_finish);
 
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, Tokens(*work.routed, true),
-        compute_finish, scales);
+    const CollectiveResult combine =
+        AllToAll(work, true, 0, 1, compute_finish, scales);
     TracePerGpuSpans(tr, "grad_combine", "a2a", compute_finish, combine,
                      layer);
     timing.a2a_seconds += combine.finish - compute_finish;

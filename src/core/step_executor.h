@@ -148,14 +148,16 @@ class StepExecutor {
   /// Refills alive_mask_ from the health view. Membership is fixed for the
   /// duration of a step, so ExecuteStep/ExecuteForward call it once.
   void RefreshAliveMask();
-  /// The routed All-to-All payload of one layer (chunk k of K; K == 1 is
-  /// the whole layer), read straight from routed.dispatch_to: the dispatch,
-  /// or with `combine` the return leg. Dead endpoints move nothing.
-  /// Straggler slowdown is not folded into the payload: the engine's
-  /// per-port scale (BandwidthScales) stretches the slow endpoint's port
-  /// directly, so the stretch applies exactly once.
-  RoutedA2A Tokens(const RoutedAssignment& routed, bool combine, int k = 0,
-                   int K = 1) const;
+  /// Runs one routed All-to-All of `work` (chunk k of K; K == 1 is the
+  /// whole layer) from `earliest`, read straight from
+  /// routed.dispatch_to: the dispatch, or with `combine` the return leg.
+  /// Dead endpoints move nothing. Straggler slowdown is not folded into
+  /// the payload: the engine's per-port scale (BandwidthScales) stretches
+  /// the slow endpoint's port directly, so the stretch applies exactly
+  /// once. Counted as exec.a2a_collectives in the metrics registry.
+  CollectiveResult AllToAll(const LayerWork& work, bool combine, int k, int K,
+                            double earliest,
+                            const std::vector<double>* scales);
 
   /// Runs expert compute for one layer with the given FLOPs/token; returns
   /// the phase finish time. `span_name` labels the per-GPU trace spans
