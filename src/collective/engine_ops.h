@@ -43,7 +43,7 @@ struct CollectiveResult {
 ///     0, G-1, ..., dst+1.
 /// No port's sequence depends on any other port, and pair ends and
 /// per-GPU finishes are maxima, so the engine is free to visit pairs in
-/// any order that keeps each port's own order (DESIGN.md Section 6.2).
+/// any order that keeps each port's own order (DESIGN.md Section 2).
 ///
 /// `port_scale` (nullable, size = num_gpus) stretches each port's
 /// serialization time by that GPU's factor: a message src -> dst holds

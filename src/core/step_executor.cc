@@ -102,13 +102,17 @@ CollectiveResult StepExecutor::AllToAll(const LayerWork& work, bool combine,
 }
 
 double StepExecutor::RunExpertCompute(
-    const RoutedAssignment& routed, double flops_per_token,
+    const RoutedAssignment& routed, double flops_per_token, int k, int K,
     const std::vector<double>& per_gpu_earliest, StepTiming* timing,
     const char* span_name, int layer) {
   // Walks expert_gpu_tokens row by row with a running finish per GPU, so
-  // each GPU still computes its experts in ascending order. Tokens landing
-  // on a dead device (possible only in degraded mode, when no live replica
-  // exists) are simply not computed.
+  // each GPU still computes its experts in ascending order. A chunk takes
+  // its share of every (expert, GPU) cell by the split rule of AllToAll,
+  // so the computed tokens are exactly the ones its dispatch delivered.
+  // Tokens landing on a dead device (possible only in degraded mode, when
+  // no live replica exists) are simply not computed.
+  const int64_t k64 = k;
+  const int64_t K64 = K;
   const size_t num_gpus = static_cast<size_t>(routed.num_gpus);
   std::vector<double>& gpu_finish = gpu_finish_scratch_;
   std::vector<double>& gpu_flops = gpu_flops_scratch_;
@@ -124,13 +128,22 @@ double StepExecutor::RunExpertCompute(
   for (int e = 0; e < routed.num_experts; ++e) {
     const int64_t* row = routed.expert_gpu_tokens.row(e);
     for (GpuId g = 0; g < routed.num_gpus; ++g) {
-      const int64_t tokens = row[g];
-      if (tokens <= 0 || alive_mask_[static_cast<size_t>(g)] == 0) continue;
+      const int64_t cell = row[g];
+      if (cell <= 0 || alive_mask_[static_cast<size_t>(g)] == 0) continue;
+      const int64_t tokens =
+          K == 1 ? cell : cell * (k64 + 1) / K64 - cell * k64 / K64;
+      if (tokens <= 0) continue;
+      const double flops = gpu_flops[static_cast<size_t>(g)];
       double& finish = gpu_finish[static_cast<size_t>(g)];
       const double before = finish;
       finish = ExecCompute(cluster_, *profile_, g, static_cast<double>(tokens),
-                           gpu_flops[static_cast<size_t>(g)], finish);
-      busy[g] += finish - before;
+                           flops, finish);
+      // Chunks count busy time, not wall: a chunk whose dispatch landed
+      // early may wait for the previous chunk's compute to drain, and that
+      // wait is the overlap working as intended — not expert occupancy.
+      busy[g] += K == 1 ? finish - before
+                        : profile_->ComputeSeconds(
+                              static_cast<double>(tokens), flops);
       gpu_tokens[static_cast<size_t>(g)] += tokens;
     }
   }
@@ -141,60 +154,12 @@ double StepExecutor::RunExpertCompute(
     const double gpu_start = per_gpu_earliest[static_cast<size_t>(g)];
     const double gpu_end = gpu_finish[static_cast<size_t>(g)];
     if (tr != nullptr && gpu_end > gpu_start) {
+      const bool chunked = K > 1;
       tr->Span(span_name, "compute", g, gpu_start, gpu_end, "layer",
-               static_cast<double>(layer), "tokens",
-               static_cast<double>(gpu_tokens[static_cast<size_t>(g)]));
-    }
-    finish = std::max(finish, gpu_end);
-  }
-  return finish;
-}
-
-double StepExecutor::RunExpertComputeChunk(
-    const RoutedAssignment& routed, double flops_per_token, int k, int K,
-    const std::vector<double>& per_gpu_earliest, StepTiming* timing,
-    const char* span_name, int layer) {
-  // RunExpertCompute restricted to chunk k's share of every (expert, GPU)
-  // cell (same split rule as AllToAll, so the computed tokens are exactly
-  // the ones this chunk's dispatch delivered).
-  const int64_t k64 = k;
-  const int64_t K64 = K;
-  const size_t num_gpus = static_cast<size_t>(routed.num_gpus);
-  std::vector<double>& gpu_finish = gpu_finish_scratch_;
-  std::vector<double>& gpu_flops = gpu_flops_scratch_;
-  gpu_finish.assign(per_gpu_earliest.begin(),
-                    per_gpu_earliest.begin() + routed.num_gpus);
-  gpu_flops.resize(num_gpus);
-  for (GpuId g = 0; g < routed.num_gpus; ++g) {
-    gpu_flops[static_cast<size_t>(g)] = flops_per_token * ComputeScale(g);
-  }
-  double* busy = timing->per_gpu_expert_compute.data();
-  for (int e = 0; e < routed.num_experts; ++e) {
-    const int64_t* row = routed.expert_gpu_tokens.row(e);
-    for (GpuId g = 0; g < routed.num_gpus; ++g) {
-      const int64_t cell = row[g];
-      if (cell <= 0 || alive_mask_[static_cast<size_t>(g)] == 0) continue;
-      const int64_t tokens = cell * (k64 + 1) / K64 - cell * k64 / K64;
-      if (tokens <= 0) continue;
-      const double flops = gpu_flops[static_cast<size_t>(g)];
-      double& finish = gpu_finish[static_cast<size_t>(g)];
-      finish = ExecCompute(cluster_, *profile_, g, static_cast<double>(tokens),
-                           flops, finish);
-      // Busy time, not wall: a chunk whose dispatch landed early may wait
-      // for the previous chunk's compute to drain, and that wait is the
-      // overlap working as intended — not expert occupancy.
-      busy[g] += profile_->ComputeSeconds(static_cast<double>(tokens), flops);
-    }
-  }
-  obs::Tracer* tr = trace();
-  double finish = 0.0;
-  for (GpuId g = 0; g < routed.num_gpus; ++g) {
-    if (alive_mask_[static_cast<size_t>(g)] == 0) continue;
-    const double gpu_start = per_gpu_earliest[static_cast<size_t>(g)];
-    const double gpu_end = gpu_finish[static_cast<size_t>(g)];
-    if (tr != nullptr && gpu_end > gpu_start) {
-      tr->Span(span_name, "compute", g, gpu_start, gpu_end, "layer",
-               static_cast<double>(layer), "chunk", static_cast<double>(k));
+               static_cast<double>(layer), chunked ? "chunk" : "tokens",
+               chunked ? static_cast<double>(k)
+                       : static_cast<double>(
+                             gpu_tokens[static_cast<size_t>(g)]));
     }
     finish = std::max(finish, gpu_end);
   }
@@ -247,7 +212,7 @@ double StepExecutor::RunForwardLayers(const std::vector<LayerWork>& layers,
     timing->a2a_seconds += dispatch.finish - phase0;
 
     const double compute_finish = RunExpertCompute(
-        *work.routed, fwd_flops, dispatch.per_gpu_finish, timing,
+        *work.routed, fwd_flops, 0, 1, dispatch.per_gpu_finish, timing,
         recirc ? "recirc_expert_compute" : "expert_compute", layer);
     timing->compute_seconds += std::max(0.0, compute_finish - dispatch.finish);
 
@@ -302,7 +267,7 @@ double StepExecutor::RunForwardLayerChunked(
   double compute_all = phase0;
   double layer_end = phase0;
   for (int k = 0; k < K; ++k) {
-    const double chunk_compute = RunExpertComputeChunk(
+    const double chunk_compute = RunExpertCompute(
         *work.routed, fwd_flops, k, K, dispatches[static_cast<size_t>(k)]
             .per_gpu_finish,
         timing, recirc ? "recirc_expert_compute" : "expert_compute", layer);
@@ -369,7 +334,7 @@ double StepExecutor::RunBackwardLayerChunked(
   double compute_all = phase0;
   double layer_end = phase0;
   for (int k = 0; k < K; ++k) {
-    const double chunk_compute = RunExpertComputeChunk(
+    const double chunk_compute = RunExpertCompute(
         *work.routed, bwd_flops, k, K,
         dispatches[static_cast<size_t>(k)].per_gpu_finish, timing,
         "expert_compute_bwd", layer);
@@ -559,8 +524,9 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
     timing.a2a_seconds += dispatch.finish - phase0;
 
     const double compute_finish =
-        RunExpertCompute(*work.routed, bwd_flops, dispatch.per_gpu_finish,
-                         &timing, "expert_compute_bwd", layer);
+        RunExpertCompute(*work.routed, bwd_flops, 0, 1,
+                         dispatch.per_gpu_finish, &timing,
+                         "expert_compute_bwd", layer);
     timing.compute_seconds += std::max(0.0, compute_finish - dispatch.finish);
 
     sync_finish = RunLayerSyncs(work, compute_finish, group_cache, scales,

@@ -159,11 +159,14 @@ class StepExecutor {
                             double earliest,
                             const std::vector<double>* scales);
 
-  /// Runs expert compute for one layer with the given FLOPs/token; returns
-  /// the phase finish time. `span_name` labels the per-GPU trace spans
-  /// (must be a string literal); `layer` is their arg.
+  /// Runs expert compute for chunk k of K of one layer (K == 1: the whole
+  /// layer, serial) with the given FLOPs/token; returns the phase finish
+  /// time. per_gpu_expert_compute gains the wall interval of each serial
+  /// reservation and the busy duration of each chunk's. `span_name` labels
+  /// the per-GPU trace spans (must be a string literal); `layer` is their
+  /// arg.
   double RunExpertCompute(const RoutedAssignment& routed,
-                          double flops_per_token,
+                          double flops_per_token, int k, int K,
                           const std::vector<double>& per_gpu_earliest,
                           StepTiming* timing, const char* span_name,
                           int layer);
@@ -215,14 +218,6 @@ class StepExecutor {
                        NcclGroupCache* group_cache,
                        const std::vector<double>* scales, StepTiming* timing,
                        double sync_finish);
-
-  /// RunExpertCompute for one chunk: tokens come from the per-chunk split
-  /// of routed.expert_gpu_tokens instead of the full matrix.
-  double RunExpertComputeChunk(const RoutedAssignment& routed,
-                               double flops_per_token, int k, int K,
-                               const std::vector<double>& per_gpu_earliest,
-                               StepTiming* timing, const char* span_name,
-                               int layer);
 
   ClusterState* cluster_;
   const HardwareProfile* profile_;
