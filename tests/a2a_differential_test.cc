@@ -239,11 +239,7 @@ std::vector<Case> AllCases() {
           c.scaled = scaled;
           c.dead = dead;
           c.seed = seed++;
-          // Every K on the small clusters; K = 1 and one deeper K on the
-          // large ones keeps the suite fast.
-          const int n = c.num_nodes * c.gpus_per_node;
           for (int K = 1; K <= 4; ++K) {
-            if (n >= 64 && K != 1 && K != 3) continue;
             c.chunks = K;
             cases.push_back(c);
           }
