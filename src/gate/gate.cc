@@ -60,15 +60,22 @@ Assignment TopKGate::Sample(const Matrix<double>& gpu_logits,
   FLEXMOE_CHECK(gpu_logits.cols() == options_.num_experts);
   Assignment out(options_.num_experts, options_.num_gpus);
   for (int g = 0; g < options_.num_gpus; ++g) {
-    const double* logits = gpu_logits.row(g);
-    if (options_.exact_sampling) {
-      SampleExact(logits, g, rng, &out);
-    } else {
-      SoftmaxInto(logits, options_.num_experts, probs_scratch_.data());
-      SampleMultinomial(probs_scratch_.data(), g, rng, &out);
-    }
+    SampleRow(gpu_logits.row(g), g, rng, &out);
   }
   return out;
+}
+
+void TopKGate::SampleRow(const double* logits, int gpu, Rng* rng,
+                         Assignment* out) const {
+  FLEXMOE_CHECK(gpu >= 0 && gpu < options_.num_gpus);
+  FLEXMOE_CHECK(out->num_experts() == options_.num_experts &&
+                out->num_gpus() == options_.num_gpus);
+  if (options_.exact_sampling) {
+    SampleExact(logits, gpu, rng, out);
+  } else {
+    SoftmaxInto(logits, options_.num_experts, probs_scratch_.data());
+    SampleMultinomial(probs_scratch_.data(), gpu, rng, out);
+  }
 }
 
 Assignment TopKGate::Sample(const std::vector<std::vector<double>>& gpu_logits,

@@ -60,6 +60,13 @@ class TopKGate {
   Assignment Sample(const std::vector<std::vector<double>>& gpu_logits,
                     Rng* rng) const;
 
+  /// Samples GPU `gpu`'s row: `logits` holds num_experts values and the
+  /// routed counts are added to column `gpu` of `out` (num_experts x
+  /// num_gpus). Sample() is this call for each GPU in order, so a caller
+  /// that forms one row at a time draws the identical stream.
+  void SampleRow(const double* logits, int gpu, Rng* rng,
+                 Assignment* out) const;
+
   const TopKGateOptions& options() const { return options_; }
 
  private:

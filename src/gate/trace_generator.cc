@@ -184,7 +184,7 @@ TraceGenerator::TraceGenerator(
       processes_(std::move(processes)) {
   logits_.resize(static_cast<size_t>(options_.num_moe_layers));
   jitter_.resize(static_cast<size_t>(options_.num_moe_layers));
-  gpu_logits_scratch_.assign(options_.num_gpus, options_.num_experts, 0.0);
+  row_scratch_.assign(static_cast<size_t>(options_.num_experts), 0.0);
   for (int l = 0; l < options_.num_moe_layers; ++l) {
     auto& z = logits_[static_cast<size_t>(l)];
     z.resize(static_cast<size_t>(options_.num_experts));
@@ -227,24 +227,22 @@ void TraceGenerator::EvolveLayer(int layer) {
   }
 }
 
-const Matrix<double>& TraceGenerator::JitteredGpuLogits(int layer) {
-  const auto& z = logits_[static_cast<size_t>(layer)];
-  const auto& layer_jitter = jitter_[static_cast<size_t>(layer)];
-  const int num_experts = options_.num_experts;
-  for (int g = 0; g < options_.num_gpus; ++g) {
-    double* out = gpu_logits_scratch_.row(g);
-    const double* j = layer_jitter.row(g);
-    for (int e = 0; e < num_experts; ++e) out[e] = z[static_cast<size_t>(e)] + j[e];
-  }
-  return gpu_logits_scratch_;
-}
-
 std::vector<Assignment> TraceGenerator::Step() {
+  const int num_experts = options_.num_experts;
   std::vector<Assignment> out;
   out.reserve(static_cast<size_t>(options_.num_moe_layers));
   for (int l = 0; l < options_.num_moe_layers; ++l) {
     EvolveLayer(l);
-    out.push_back(gate_.Sample(JitteredGpuLogits(l), &rng_));
+    const double* z = logits_[static_cast<size_t>(l)].data();
+    const Matrix<double>& layer_jitter = jitter_[static_cast<size_t>(l)];
+    double* row = row_scratch_.data();
+    Assignment layer(num_experts, options_.num_gpus);
+    for (int g = 0; g < options_.num_gpus; ++g) {
+      const double* j = layer_jitter.row(g);
+      for (int e = 0; e < num_experts; ++e) row[e] = z[e] + j[e];
+      gate_.SampleRow(row, g, &rng_, &layer);
+    }
+    out.push_back(std::move(layer));
   }
   ++step_;
   return out;

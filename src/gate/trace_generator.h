@@ -124,9 +124,6 @@ class TraceGenerator {
                  std::vector<std::unique_ptr<LogitProcess>> processes);
 
   void EvolveLayer(int layer);
-  /// Fills `gpu_logits_scratch_` with the per-GPU jittered logits of
-  /// `layer` and returns it — valid until the next call.
-  const Matrix<double>& JitteredGpuLogits(int layer);
 
   TraceGeneratorOptions options_;
   double sigma0_;
@@ -139,8 +136,9 @@ class TraceGenerator {
   std::vector<std::vector<double>> logits_;
   /// Per-layer [gpu][expert] slow-moving jitter processes (flat rows).
   std::vector<Matrix<double>> jitter_;
-  /// Reusable [gpu][expert] buffer handed to the gate each layer-step.
-  Matrix<double> gpu_logits_scratch_;
+  /// One GPU's jittered logits z[e] + jitter[g][e], handed to the gate
+  /// row by row (the G x E matrix is never formed).
+  std::vector<double> row_scratch_;
 };
 
 }  // namespace flexmoe

@@ -2,6 +2,45 @@
 
 namespace flexmoe {
 
+GeneratorTraceSource::~GeneratorTraceSource() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_one();
+  if (worker_.joinable()) worker_.join();
+}
+
+std::vector<Assignment> GeneratorTraceSource::NextStep() {
+  if (!worker_.joinable()) {
+    worker_ = std::thread(&GeneratorTraceSource::Produce, this);
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return slot_full_; });
+  std::vector<Assignment> step = std::move(slot_);
+  slot_full_ = false;
+  lock.unlock();
+  cv_.notify_one();
+  return step;
+}
+
+void GeneratorTraceSource::Produce() {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return !slot_full_ || stop_; });
+      if (stop_) return;
+    }
+    std::vector<Assignment> step = gen_.Step();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slot_ = std::move(step);
+      slot_full_ = true;
+    }
+    cv_.notify_one();
+  }
+}
+
 std::vector<Assignment> ReplayTraceSource::NextStep() {
   FLEXMOE_CHECK_MSG(cursor_ < trace_.num_steps(),
                     "replay trace exhausted");

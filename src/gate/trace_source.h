@@ -7,7 +7,10 @@
 #ifndef FLEXMOE_GATE_TRACE_SOURCE_H_
 #define FLEXMOE_GATE_TRACE_SOURCE_H_
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "gate/routing_trace.h"
@@ -29,17 +32,41 @@ class TraceSource {
   virtual int64_t StepsRemaining() const { return -1; }
 };
 
-/// \brief Live source: owns a TraceGenerator and streams its steps.
+/// \brief Live source: streams a TraceGenerator's steps, generated one
+/// step ahead on a worker thread.
+///
+/// The generated stream depends only on the generator's options, never on
+/// the system that consumes it, so the worker builds step t+1 while the
+/// caller simulates step t. The first NextStep starts the worker (a source
+/// that is never read starts no thread); from then on the worker alone
+/// touches the generator. Steps pass through a one-slot buffer: the worker
+/// builds a step only once the slot is empty, so at most one step is in
+/// flight. The destructor stops and joins the worker, discarding at most
+/// that one unconsumed step. NextStep must be called from one thread at a
+/// time; the stream it returns is bit-identical to calling
+/// TraceGenerator::Step in a loop (DESIGN.md Section 7.2).
 class GeneratorTraceSource : public TraceSource {
  public:
   explicit GeneratorTraceSource(TraceGenerator gen) : gen_(std::move(gen)) {}
+  ~GeneratorTraceSource() override;
 
-  std::vector<Assignment> NextStep() override { return gen_.Step(); }
+  GeneratorTraceSource(const GeneratorTraceSource&) = delete;
+  GeneratorTraceSource& operator=(const GeneratorTraceSource&) = delete;
 
-  const TraceGenerator& generator() const { return gen_; }
+  std::vector<Assignment> NextStep() override;
 
  private:
-  TraceGenerator gen_;
+  /// Worker loop: waits for an empty slot, builds the next step, fills
+  /// the slot; returns once stop_ is set.
+  void Produce();
+
+  TraceGenerator gen_;  ///< Owned by the worker once it has started.
+  std::mutex mu_;       ///< Guards slot_, slot_full_ and stop_.
+  std::condition_variable cv_;  ///< Signals slot_full_ and stop_ changes.
+  std::vector<Assignment> slot_;
+  bool slot_full_ = false;
+  bool stop_ = false;
+  std::thread worker_;  ///< Declared last: it uses every member above.
 };
 
 /// \brief Replay source: streams the steps of a recorded RoutingTrace.

@@ -50,8 +50,6 @@ std::string LaneName(int tid) {
       return "policy";
     case kServingLane:
       return "serving";
-    case kSimLane:
-      return "sim";
     default:
       return StrFormat("gpu%d", tid);
   }

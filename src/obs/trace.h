@@ -32,7 +32,6 @@ namespace obs {
 inline constexpr int kControlLane = 10000;  ///< step/phase structure, faults
 inline constexpr int kPolicyLane = 10001;   ///< scheduler + policy maker
 inline constexpr int kServingLane = 10002;  ///< ServeExecutor batching
-inline constexpr int kSimLane = 10003;      ///< SimEngine callback firings
 
 /// \brief One recorded event. POD: literal strings + numbers, no owned
 /// memory. `phase` follows the Chrome trace-event phases this tracer

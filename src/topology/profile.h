@@ -126,10 +126,6 @@ class HardwareProfile {
   double AllReduceSecondsForSignature(double bytes,
                                       const GroupSignature& sig) const;
 
-  /// Bytes/second delivered by AllReduce on `group` at message size `bytes`
-  /// — the paper's BPS(G').
-  double AllReduceBps(double bytes, const std::vector<GpuId>& group) const;
-
   /// Per-kernel launch overhead charged by ComputeSeconds — the calibrated
   /// value when SetComputeCalibration ran, GpuSpec::kernel_overhead_sec
   /// otherwise. The chunked cost model uses it to price the extra (K - 1)

@@ -1,5 +1,5 @@
 // Tests for the elastic cluster subsystem: fault plans, the health
-// registry, the fault scheduler (step- and SimEngine-driven), placement
+// registry, the step-driven fault scheduler, placement
 // repair (drain / failover), workload re-sharding, migrate-away planning,
 // and byte-for-byte replay determinism under a fixed seed.
 
@@ -15,7 +15,6 @@
 #include "elastic/fault_scheduler.h"
 #include "elastic/recovery.h"
 #include "gate/trace_generator.h"
-#include "sim/engine.h"
 #include "test_env.h"
 
 namespace flexmoe {
@@ -180,27 +179,6 @@ TEST(FaultSchedulerTest, FiresEventsAtTheirStep) {
   EXPECT_EQ(sched.AdvanceTo(50, &health).size(), 1u);
   EXPECT_TRUE(health.alive(0));
   EXPECT_TRUE(sched.done());
-}
-
-TEST(FaultSchedulerTest, SimEngineInjection) {
-  FaultPlanOptions o;
-  o.scenario = "straggler";
-  o.num_gpus = 8;
-  o.fault_step = 10;
-  o.recover_step = 20;
-  o.gpu = 4;
-  FaultScheduler sched(*FaultPlan::Generate(o));
-  ClusterHealth health(8);
-  SimEngine engine;
-  const double dt = 0.25;  // seconds per step
-  sched.InstallOn(&engine, dt, &health);
-  EXPECT_TRUE(sched.done());  // events handed to the engine
-
-  engine.RunUntil(10 * dt);
-  EXPECT_EQ(health.state(4), DeviceState::kDegraded);
-  engine.RunUntil(20 * dt);
-  EXPECT_EQ(health.state(4), DeviceState::kHealthy);
-  EXPECT_EQ(sched.skipped_events(), 0);
 }
 
 // ---- Workload re-sharding --------------------------------------------------

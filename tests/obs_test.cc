@@ -1,7 +1,6 @@
 // Unit tests for the observability subsystem (src/obs/): tracer ring
 // semantics and Chrome-trace export, metrics-registry determinism,
-// decision-log JSONL roundtrip and the policy-adoption-lag metric, and
-// the SimEngine tracer hook.
+// decision-log JSONL roundtrip and the policy-adoption-lag metric.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "obs/metrics_registry.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
-#include "sim/engine.h"
 
 namespace flexmoe {
 namespace obs {
@@ -191,22 +189,6 @@ TEST(DecisionLogTest, PolicyAdoptionLags) {
   EXPECT_EQ(lags[1], 4);   // 24 - 20
   EXPECT_EQ(lags[2], -1);  // nothing adopted before the next switch
   EXPECT_EQ(lags[3], -1);  // nothing after 40 at all
-}
-
-TEST(SimEngineTest, TracerHookEmitsInstantPerCallback) {
-  Tracer tr(16);
-  SimEngine engine;
-  engine.set_tracer(&tr);
-  int fired = 0;
-  engine.ScheduleAt(1.0, [&fired] { ++fired; });
-  engine.ScheduleAt(2.5, [&fired] { ++fired; });
-  engine.Run();
-  EXPECT_EQ(fired, 2);
-  ASSERT_EQ(tr.size(), 2u);
-  EXPECT_STREQ(tr.at(0).name, "sim_callback");
-  EXPECT_EQ(tr.at(0).tid, kSimLane);
-  EXPECT_DOUBLE_EQ(tr.at(0).ts_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(tr.at(1).ts_seconds, 2.5);
 }
 
 TEST(ObservabilityTest, DisabledHandleYieldsNullAccessors) {

@@ -1,85 +1,13 @@
-// Tests for the discrete-event engine: event ordering, clock semantics,
-// stream serialization, and cluster-state accounting.
+// Tests for the simulation timelines: stream serialization and
+// cluster-state accounting.
 
 #include <gtest/gtest.h>
 
-#include "sim/engine.h"
-#include "sim/event_queue.h"
 #include "sim/stream.h"
 #include "topology/topology.h"
 
 namespace flexmoe {
 namespace {
-
-TEST(EventQueueTest, OrdersByTime) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.Push(3.0, [&] { fired.push_back(3); });
-  q.Push(1.0, [&] { fired.push_back(1); });
-  q.Push(2.0, [&] { fired.push_back(2); });
-  while (!q.empty()) q.Pop().fn();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueueTest, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    q.Push(1.0, [&fired, i] { fired.push_back(i); });
-  }
-  while (!q.empty()) q.Pop().fn();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, PeekAndClear) {
-  EventQueue q;
-  q.Push(5.0, [] {});
-  q.Push(2.0, [] {});
-  EXPECT_EQ(q.PeekTime(), 2.0);
-  EXPECT_EQ(q.size(), 2u);
-  q.Clear();
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(SimEngineTest, RunAdvancesClock) {
-  SimEngine engine;
-  double seen = -1.0;
-  engine.ScheduleAt(2.5, [&] { seen = engine.now(); });
-  engine.Run();
-  EXPECT_EQ(seen, 2.5);
-  EXPECT_EQ(engine.now(), 2.5);
-}
-
-TEST(SimEngineTest, ScheduleAfterIsRelative) {
-  SimEngine engine;
-  std::vector<double> times;
-  engine.ScheduleAfter(1.0, [&] {
-    times.push_back(engine.now());
-    engine.ScheduleAfter(2.0, [&] { times.push_back(engine.now()); });
-  });
-  engine.Run();
-  EXPECT_EQ(times, (std::vector<double>{1.0, 3.0}));
-}
-
-TEST(SimEngineTest, RunUntilFiresOnlyDueEvents) {
-  SimEngine engine;
-  int fired = 0;
-  engine.ScheduleAt(1.0, [&] { ++fired; });
-  engine.ScheduleAt(10.0, [&] { ++fired; });
-  engine.RunUntil(5.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.now(), 5.0);
-  EXPECT_EQ(engine.pending_events(), 1u);
-  engine.Run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(SimEngineTest, SchedulingInPastDies) {
-  SimEngine engine;
-  engine.ScheduleAt(5.0, [] {});
-  engine.Run();
-  EXPECT_DEATH(engine.ScheduleAt(1.0, [] {}), "past");
-}
 
 TEST(StreamTest, SerializesReservations) {
   Stream s;

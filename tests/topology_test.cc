@@ -211,7 +211,8 @@ TEST(HardwareProfileTest, BpsIncreasesWithMessageSize) {
   const Topology topo = MakeTopo();
   const HardwareProfile p(&topo, GpuSpec{});
   const std::vector<GpuId> group = {0, 8};
-  EXPECT_LT(p.AllReduceBps(1e4, group), p.AllReduceBps(1e8, group));
+  EXPECT_LT(1e4 / p.AllReduceSeconds(1e4, group),
+            1e8 / p.AllReduceSeconds(1e8, group));
 }
 
 TEST(HardwareProfileTest, CalibrationOverrides) {
